@@ -9,12 +9,12 @@ one length above the bound confirms emptiness there.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from . import core, models
+from . import core
 from .core import BudgetError, DEFAULT_MAX_LEN, Perm
-from .models import Model
+from .genset import element_length
+from .models import Model, ball, ball_set
 
 
 @dataclass(frozen=True)
@@ -34,22 +34,12 @@ class BasisReport:
     probe: BasisProbe | None = None
 
 
-def _length_bound(k: int, model: Model) -> int:
-    return (3 if model is Model.BLOCK else 2) * k + 1
-
-
-def _ball(n: int, k: int, model: Model, max_len: int, max_states: int | None) -> frozenset[Perm]:
-    return frozenset(models.ball(n, k, model, max_len=max_len, max_states=max_states))
-
-
-def _minimal_nonmembers_at(
-    n: int, k: int, model: Model, max_len: int, max_states: int | None
-) -> list[Perm]:
+def _minimal_nonmembers_at(n: int, k: int, model: Model, **limits) -> list[Perm]:
     """Basis elements of length n: outside the ball, with every deletion inside."""
-    inside = _ball(n, k, model, max_len, max_states)
-    inside_shorter = _ball(n - 1, k, model, max_len, max_states)
+    inside = ball_set(n, k, model, **limits)
+    inside_shorter = ball_set(n - 1, k, model, **limits)
     found = []
-    for p in itertools.permutations(range(1, n + 1)):
+    for p in core.all_perms(n):
         if p in inside:
             continue
         if all(q in inside_shorter for q in core.one_point_deletions(p)):
@@ -75,16 +65,16 @@ def basis(
     model = Model.coerce(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    bound = _length_bound(k, model)
+    bound = element_length(k, model)
     top = bound + 1 if probe_extra else bound
     if top > max_len:
         raise BudgetError(f"scan up to length {top} exceeds the cap {max_len}")
     elements: list[Perm] = []
     for n in range(2, bound + 1):
-        elements.extend(_minimal_nonmembers_at(n, k, model, max_len, max_states))
+        elements.extend(_minimal_nonmembers_at(n, k, model, max_len=max_len, max_states=max_states))
     probe = None
     if probe_extra:
-        extra = _minimal_nonmembers_at(bound + 1, k, model, max_len, max_states)
+        extra = _minimal_nonmembers_at(bound + 1, k, model, max_len=max_len, max_states=max_states)
         probe = BasisProbe(length=bound + 1, elements=core.perm_set(extra))
     return BasisReport(
         k=k,
@@ -114,16 +104,14 @@ def basis_via_poset_descent(
     model = Model.coerce(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    bound = _length_bound(k, model)
+    bound = element_length(k, model)
     if bound > max_len:
         raise BudgetError(f"scan up to length {bound} exceeds the cap {max_len}")
-    inside = _ball(bound, k, model, max_len, max_states)
-    frontier = {
-        p for p in itertools.permutations(range(1, bound + 1)) if p not in inside
-    }
+    inside = ball_set(bound, k, model, max_len=max_len, max_states=max_states)
+    frontier = {p for p in core.all_perms(bound) if p not in inside}
     found: set[Perm] = set()
     for n in range(bound, 1, -1):
-        inside_shorter = _ball(n - 1, k, model, max_len, max_states)
+        inside_shorter = ball_set(n - 1, k, model, max_len=max_len, max_states=max_states)
         descend: set[Perm] = set()
         for p in frontier:
             outside = [q for q in core.one_point_deletions(p) if q not in inside_shorter]
@@ -157,8 +145,8 @@ def verify_class_closure(
     if n_max > max_len:
         raise BudgetError(f"length {n_max} exceeds the cap {max_len}")
     for n in range(1, n_max + 1):
-        shorter = _ball(n - 1, k, model, max_len, max_states)
-        for p in models.ball(n, k, model, max_len=max_len, max_states=max_states):
+        shorter = ball_set(n - 1, k, model, max_len=max_len, max_states=max_states)
+        for p in ball(n, k, model, max_len=max_len, max_states=max_states):
             if any(q not in shorter for q in core.one_point_deletions(p)):
                 return False
     return True

@@ -2,8 +2,9 @@
 
 A permutation of length n is a tuple containing each of 1..n exactly once
 (1-based one-line notation); the empty tuple is the length-0 identity.
-Everything in this module is a pure function of immutable values, so the whole
-API is safe to call from any number of concurrent workers.
+Every function in this module is a pure function of immutable values, so this
+module (unlike the cached search engine in ``models``) is safe to call from
+any number of concurrent workers.
 
 Two text encodings are supported: a compact digit string for n <= 9
 ("1352647") and comma-separated values for any length ("13,5,2,..."). Both
@@ -12,6 +13,7 @@ are accepted on input; the compact form is emitted whenever n <= 9.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
@@ -44,6 +46,11 @@ def identity(n: int) -> Perm:
     if n < 0:
         raise ValueError("negative length")
     return tuple(range(1, n + 1))
+
+
+def all_perms(n: int) -> Iterator[Perm]:
+    """Every permutation of length ``n``, in lexicographic order."""
+    return itertools.permutations(range(1, n + 1))
 
 
 def parse_perm(text: str) -> Perm:

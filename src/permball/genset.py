@@ -221,7 +221,10 @@ class GeneratingSetReport:
                 raise ValueError(f"{e!r} is not plus irreducible")
 
 
-def _target_length(k: int, model: Model) -> int:
+def element_length(k: int, model: Model | str) -> int:
+    """Length of the generating permutations of B_k, 3k+1 (block model) or
+    2k+1 (prefix model); it also bounds the length of the basis elements."""
+    model = Model.coerce(model)
     return (3 if model is Model.BLOCK else 2) * k + 1
 
 
@@ -241,7 +244,7 @@ def generating_set_constructive(
     model = Model.coerce(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    target = _target_length(k, model)
+    target = element_length(k, model)
     if target > max_len:
         raise BudgetError(f"element length {target} exceeds the cap {max_len}")
     current: set[Perm] = {(1,)}
@@ -278,9 +281,9 @@ def generating_set_direct(
     model = Model.coerce(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    target = _target_length(k, model)
-    inside = set(models.ball(target, k, model, max_len=max_len, max_states=max_states))
-    closer = set(models.ball(target, k - 1, model, max_len=max_len, max_states=max_states))
+    target = element_length(k, model)
+    inside = models.ball_set(target, k, model, max_len=max_len, max_states=max_states)
+    closer = models.ball_set(target, k - 1, model, max_len=max_len, max_states=max_states)
     elements = tuple(
         p
         for p in core.enumerate_plus_irreducible(target, max_len=max_len)

@@ -11,7 +11,10 @@ shared level table (one full or partial BFS per (length, model), grown
 lazily and cached for the whole process); longer single queries fall back to
 a memoized bidirectional search. Results never depend on which path answered.
 State budgets bound new search work only: an answer already in the cache is
-returned as-is.
+returned as-is. A budget refuses during expansion, as soon as the visited
+states exceed it, and a refused search leaves the caches unchanged. The level
+tables and the memo are process-wide and unsynchronised, so the engine is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -96,14 +99,43 @@ def _unpack(code: int, n: int) -> Perm:
     return tuple(((code >> (4 * i)) & 0xF) + 1 for i in range(n))
 
 
+def _expand(
+    frontier: list[int],
+    seen: dict[int, int],
+    depth: int,
+    n: int,
+    triples: list[tuple[int, int, int]],
+    max_states: int | None,
+) -> list[int]:
+    """Record every unseen child of ``frontier`` in ``seen`` at ``depth``;
+    return the new codes in discovery order.
+
+    The budget caps ``len(seen)`` and is checked after each expanded state.
+    On refusal the entries this call added are removed again, so ``seen`` is
+    left as it was found.
+    """
+    fresh: list[int] = []
+    for code in frontier:
+        p = _unpack(code, n)
+        for t in triples:
+            child = _pack(apply_transposition(p, t))
+            if child not in seen:
+                seen[child] = depth
+                fresh.append(child)
+        if max_states is not None and len(seen) > max_states:
+            for child in fresh:
+                del seen[child]
+            raise BudgetError(f"search over S_{n} exceeds the state budget")
+    return fresh
+
+
 class _LevelTable:
     """Cached level-synchronous BFS from the identity of one length/model."""
 
-    __slots__ = ("n", "model", "dist", "levels", "complete", "_triples")
+    __slots__ = ("n", "dist", "levels", "complete", "_triples")
 
     def __init__(self, n: int, model: Model):
         self.n = n
-        self.model = model
         start = _pack(core.identity(n))
         self.dist: dict[int, int] = {start: 0}
         self.levels: list[list[int]] = [[start]]
@@ -114,23 +146,13 @@ class _LevelTable:
         """Add one BFS level; return False once the graph is exhausted."""
         if self.complete:
             return False
-        depth = len(self.levels)
-        fresh: dict[int, int] = {}
-        for code in self.levels[-1]:
-            p = _unpack(code, self.n)
-            for t in self._triples:
-                child = _pack(apply_transposition(p, t))
-                if child not in self.dist and child not in fresh:
-                    fresh[child] = depth
-        if max_states is not None and len(self.dist) + len(fresh) > max_states:
-            raise BudgetError(
-                f"BFS over S_{self.n} ({self.model.value}) exceeds the state budget {max_states}"
-            )
+        fresh = _expand(
+            self.levels[-1], self.dist, len(self.levels), self.n, self._triples, max_states
+        )
         if not fresh:
             self.complete = True
             return False
-        self.dist.update(fresh)
-        self.levels.append(list(fresh))
+        self.levels.append(fresh)
         return True
 
 
@@ -161,44 +183,25 @@ def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
         return _bidi_memo[key]
     n = len(p)
     triples = list(transposition_triples(n, model))
-    # No path can be shorter than the breakpoint bound, so meet tests before
-    # that combined depth are pure waste and are skipped.
-    lower = 0
-    if model is Model.BLOCK:
-        lower = -(-core.breakpoint_count(p) // 3)
-    side_a = ({_pack(p): 0}, [_pack(p)])
-    side_b = ({_pack(core.identity(n)): 0}, [_pack(core.identity(n))])
+    # No block-model path is shorter than the breakpoint bound ceil(b/3) of
+    # Bafna and Pevzner, so meet tests before that combined depth are waste.
+    lower = -(-core.breakpoint_count(p) // 3) if model is Model.BLOCK else 0
+    seen = ({_pack(p): 0}, {_pack(core.identity(n)): 0})
+    frontiers = [list(seen[0]), list(seen[1])]
     depths = [0, 0]
     best = math.inf
-    while side_a[1] and side_b[1]:
-        if best <= depths[0] + depths[1]:
-            break
-        grow_a = len(side_a[1]) <= len(side_b[1])
-        mine, other = (side_a, side_b) if grow_a else (side_b, side_a)
-        my_idx = 0 if grow_a else 1
-        new_depth = depths[my_idx] + 1
-        check_meet = not (best is math.inf and new_depth + depths[1 - my_idx] < lower)
-        dist_mine, frontier = mine
-        dist_other = other[0]
-        fresh = []
-        for code in frontier:
-            q = _unpack(code, n)
-            for t in triples:
-                child = _pack(apply_transposition(q, t))
-                if child in dist_mine:
-                    continue
-                dist_mine[child] = new_depth
-                fresh.append(child)
-                if check_meet and child in dist_other:
-                    best = min(best, new_depth + dist_other[child])
-        mine = (dist_mine, fresh)
-        if grow_a:
-            side_a = mine
-        else:
-            side_b = mine
-        depths[my_idx] = new_depth
-        if max_states is not None and len(side_a[0]) + len(side_b[0]) > max_states:
-            raise BudgetError(f"bidirectional search exceeds the state budget {max_states}")
+    while frontiers[0] and frontiers[1] and best > depths[0] + depths[1]:
+        mine = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        other = seen[1 - mine]
+        depth = depths[mine] + 1
+        # Both sides share the budget.
+        room = None if max_states is None else max_states - len(other)
+        fresh = _expand(frontiers[mine], seen[mine], depth, n, triples, room)
+        frontiers[mine], depths[mine] = fresh, depth
+        if best < math.inf or depth + depths[1 - mine] >= lower:
+            for child in fresh:
+                if child in other:
+                    best = min(best, depth + other[child])
     if best is math.inf:
         raise RuntimeError(f"search exhausted without reaching the identity from {p!r}")
     _bidi_memo[key] = int(best)
@@ -279,3 +282,8 @@ def ball(
     return core.perm_set(
         _unpack(code, n) for level in table.levels[: top + 1] for code in level
     )
+
+
+def ball_set(n: int, k: int, model: Model | str, **limits) -> frozenset[Perm]:
+    """The members of ``ball(n, k, model, **limits)`` as a set, for membership tests."""
+    return frozenset(ball(n, k, model, **limits))

@@ -3,12 +3,13 @@
 Each check returns PASS or FAIL with a short detail line; checks whose
 budget is exceeded report SKIPPED instead of failing. The expected values
 live in one data file (data/golden.json by default) so the CLI's negative
-control (a corrupted file must fail) stays meaningful.
+control (a corrupted file must fail) stays meaningful. Only a missing or
+malformed expected value fails a check as "expected values unusable"; any
+other exception from a check propagates.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from typing import Callable, Iterable
 from . import core, genset, models
 from .basis import basis as compute_basis
 from .basis import basis_via_poset_descent, verify_class_closure
-from .core import BudgetError, Perm
-from .models import Model
+from .core import BudgetError, Perm, all_perms
+from .models import Model, ball_set
 
 
 @dataclass(frozen=True)
@@ -37,38 +38,51 @@ def load_golden(path: str | Path | None = None) -> dict:
     return json.loads(Path(path).read_text())
 
 
+class _GoldenError(Exception):
+    """An expected value is missing from the golden data or malformed."""
+
+
+def _golden(golden: dict, parse: Callable, *path: str):
+    """Read ``golden[path[0]][path[1]]...`` through ``parse``; all checks read golden data here."""
+    try:
+        value = golden
+        for key in path:
+            value = value[key]
+        return parse(value)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise _GoldenError(f"{'/'.join(path)}: {exc!r}") from None
+
+
 def _perms(entries: Iterable[str]) -> tuple[Perm, ...]:
     return core.perm_set(core.parse_perm(e) for e in entries)
 
 
-def _all_perms(n: int):
-    return itertools.permutations(range(1, n + 1))
+def _counts(entries: dict) -> dict[int, int]:
+    return {int(length): int(value) for length, value in entries.items()}
 
 
-@dataclass
-class _Budget:
-    max_len: int
-    max_states: int | None
-
-    def ball(self, n: int, k: int, model: Model) -> frozenset[Perm]:
-        return frozenset(
-            models.ball(n, k, model, max_len=self.max_len, max_states=self.max_states)
-        )
+def _examples(w: dict) -> tuple:
+    """The worked examples, every permutation and number parsed."""
+    perm, ints = core.parse_perm, lambda values: tuple(int(x) for x in values)
+    red, infl, brk = w["reduce"], w["monotone_inflate"], w["strip_break"]
+    return (
+        (perm(red["input"]), perm(red["output"])),
+        (perm(infl["base"]), ints(infl["vector"]), perm(infl["output"])),
+        (perm(brk["base"]), ints(brk["indices"]), perm(brk["inflated"]), perm(brk["broken"])),
+        [(perm(d["perm"]), Model(d["model"]), int(d["distance"])) for d in w["distances"]],
+    )
 
 
 # --- individual checks ------------------------------------------------------
-# Every check takes (golden, budget, k, max_n) and returns (ok, detail).
+# Every check takes (golden, limits, k, max_n) and returns (ok, detail);
+# ``limits`` holds the max_len / max_states keywords, forwarded unchanged.
 
 
 def _check_genset_golden(model: Model, j: int):
-    def run(golden, budget, k, max_n):
-        expected = _perms(golden["generating_sets"][model.value][str(j)])
-        direct = genset.generating_set_direct(
-            j, model, max_len=budget.max_len, max_states=budget.max_states
-        ).elements
-        constructive = genset.generating_set_constructive(
-            j, model, max_len=budget.max_len, max_states=budget.max_states
-        ).elements
+    def run(golden, limits, k, max_n):
+        expected = _golden(golden, _perms, "generating_sets", model.value, str(j))
+        direct = genset.generating_set_direct(j, model, **limits).elements
+        constructive = genset.generating_set_constructive(j, model, **limits).elements
         ok = direct == expected and constructive == expected
         return ok, f"{len(expected)} elements, both methods"
 
@@ -76,14 +90,10 @@ def _check_genset_golden(model: Model, j: int):
 
 
 def _check_genset_cardinality(j: int):
-    def run(golden, budget, k, max_n):
-        expected = golden["generating_set_cardinalities"]["ptd"][str(j)]
-        direct = genset.generating_set_direct(
-            j, Model.PREFIX, max_len=budget.max_len, max_states=budget.max_states
-        ).elements
-        constructive = genset.generating_set_constructive(
-            j, Model.PREFIX, max_len=budget.max_len, max_states=budget.max_states
-        ).elements
+    def run(golden, limits, k, max_n):
+        expected = _golden(golden, int, "generating_set_cardinalities", "ptd", str(j))
+        direct = genset.generating_set_direct(j, Model.PREFIX, **limits).elements
+        constructive = genset.generating_set_constructive(j, Model.PREFIX, **limits).elements
         ok = len(direct) == expected and direct == constructive
         return ok, f"cardinality {len(direct)} (expected {expected}), methods agree"
 
@@ -91,14 +101,10 @@ def _check_genset_cardinality(j: int):
 
 
 def _check_basis_golden(model: Model, j: int):
-    def run(golden, budget, k, max_n):
-        expected = _perms(golden["bases"][model.value][str(j)])
-        primary = compute_basis(
-            j, model, max_len=budget.max_len, max_states=budget.max_states
-        ).elements
-        descent = basis_via_poset_descent(
-            j, model, max_len=budget.max_len, max_states=budget.max_states
-        ).elements
+    def run(golden, limits, k, max_n):
+        expected = _golden(golden, _perms, "bases", model.value, str(j))
+        primary = compute_basis(j, model, **limits).elements
+        descent = basis_via_poset_descent(j, model, **limits).elements
         ok = primary == expected and descent == expected
         return ok, f"{len(expected)} elements, both methods"
 
@@ -106,10 +112,8 @@ def _check_basis_golden(model: Model, j: int):
 
 
 def _check_basis_probe(model: Model, j: int):
-    def run(golden, budget, k, max_n):
-        report = compute_basis(
-            j, model, probe_extra=True, max_len=budget.max_len, max_states=budget.max_states
-        )
+    def run(golden, limits, k, max_n):
+        report = compute_basis(j, model, probe_extra=True, **limits)
         assert report.probe is not None
         ok = report.probe.elements == ()
         return ok, f"nothing at length {report.probe.length}"
@@ -117,64 +121,61 @@ def _check_basis_probe(model: Model, j: int):
     return run
 
 
-def _check_counts(golden, budget, k, max_n):
-    expected = golden["plus_irreducible_counts_by_length"]
-    enum_top = min(max(max_n + 1, 7), 8, budget.max_len)
-    for text, value in expected.items():
-        length = int(text)
+def _check_counts(golden, limits, k, max_n):
+    expected = _golden(golden, _counts, "plus_irreducible_counts_by_length")
+    enum_top = min(max(max_n + 1, 7), 8, limits["max_len"])
+    for length, value in expected.items():
         if core.plus_irreducible_count(length - 1) != value:
             return False, f"recurrence disagrees at length {length}"
         if length <= enum_top:
-            found = len(core.enumerate_plus_irreducible(length, max_len=budget.max_len))
+            found = len(core.enumerate_plus_irreducible(length, max_len=limits["max_len"]))
             if found != value:
                 return False, f"enumeration found {found} at length {length}"
     return True, f"lengths 1..8 by recurrence, 1..{enum_top} by enumeration"
 
 
-def _check_worked_examples(golden, budget, k, max_n):
-    w = golden["worked_examples"]
-    red = w["reduce"]
-    if core.reduce(core.parse_perm(red["input"])) != core.parse_perm(red["output"]):
+def _check_worked_examples(golden, limits, k, max_n):
+    reduction, inflation, strip_break, distances = _golden(golden, _examples, "worked_examples")
+    source, reduced = reduction
+    if core.reduce(source) != reduced:
         return False, "strip reduction example"
-    infl = w["monotone_inflate"]
-    got = core.monotone_inflate(core.parse_perm(infl["base"]), infl["vector"])
-    if got != core.parse_perm(infl["output"]):
+    base, vector, inflated = inflation
+    if core.monotone_inflate(base, vector) != inflated:
         return False, "monotone inflation example"
-    brk = w["strip_break"]
-    inflated, broken = genset.td_inflate(core.parse_perm(brk["base"]), tuple(brk["indices"]))
-    if inflated != core.parse_perm(brk["inflated"]) or broken != core.parse_perm(brk["broken"]):
+    base, indices, inflated, broken = strip_break
+    if genset.td_inflate(base, indices) != (inflated, broken):
         return False, "strip-break construction example"
-    for d in w["distances"]:
-        if models.distance(core.parse_perm(d["perm"]), d["model"]) != d["distance"]:
-            return False, f"distance of {d['perm']} under {d['model']}"
+    for p, model, expected in distances:
+        if models.distance(p, model) != expected:
+            return False, f"distance of {core.format_perm(p)} under {model.value}"
     return True, "reduction, inflation, strip-break and distance examples"
 
 
-def _check_breakpoint_bound(golden, budget, k, max_n):
+def _check_breakpoint_bound(golden, limits, k, max_n):
     top = min(max_n, 7)
     for n in range(1, top + 1):
-        for p in _all_perms(n):
+        for p in all_perms(n):
             bound = -(-core.breakpoint_count(p) // 3)
             if models.distance(p, Model.BLOCK) < bound:
                 return False, f"violated at {core.format_perm(p)}"
     return True, f"exhaustive for n <= {top}"
 
 
-def _check_reduction_invariance(golden, budget, k, max_n):
+def _check_reduction_invariance(golden, limits, k, max_n):
     top = min(max_n, 7)
     for n in range(1, top + 1):
-        for p in _all_perms(n):
+        for p in all_perms(n):
             if models.distance(p, Model.BLOCK) != models.distance(core.reduce(p), Model.BLOCK):
                 return False, f"violated at {core.format_perm(p)}"
     return True, f"exhaustive for n <= {top}"
 
 
-def _check_ptd_reduction_empirical(golden, budget, k, max_n):
+def _check_ptd_reduction_empirical(golden, limits, k, max_n):
     # Not a promised identity: a failure here is an observation about the
     # model, not an engine bug, and is reported as such.
     top = min(max_n, 6)
     for n in range(1, top + 1):
-        for p in _all_perms(n):
+        for p in all_perms(n):
             if models.distance(p, Model.PREFIX) != models.distance(core.reduce(p), Model.PREFIX):
                 return (
                     False,
@@ -184,22 +185,22 @@ def _check_ptd_reduction_empirical(golden, budget, k, max_n):
     return True, f"holds empirically for n <= {top} (no guarantee implied)"
 
 
-def _check_model_refinement(golden, budget, k, max_n):
+def _check_model_refinement(golden, limits, k, max_n):
     top = min(max_n, 6)
     for n in range(1, top + 1):
-        for p in _all_perms(n):
+        for p in all_perms(n):
             if models.distance(p, Model.BLOCK) > models.distance(p, Model.PREFIX):
                 return False, f"violated at {core.format_perm(p)}"
     return True, f"td <= ptd for n <= {top}"
 
 
 def _check_left_invariance(model: Model):
-    def run(golden, budget, k, max_n):
+    def run(golden, limits, k, max_n):
         def compose(f: Perm, g: Perm) -> Perm:
             return tuple(f[x - 1] for x in g)
 
-        for sigma in _all_perms(4):
-            for p in _all_perms(4):
+        for sigma in all_perms(4):
+            for p in all_perms(4):
                 base = models.pairwise_distance(p, (1, 2, 3, 4), model)
                 if models.pairwise_distance(compose(sigma, p), sigma, model) != base:
                     return False, f"violated at sigma={sigma}, p={p}"
@@ -216,16 +217,14 @@ def _check_left_invariance(model: Model):
 
 
 def _check_closure(model: Model):
-    def run(golden, budget, k, max_n):
+    def run(golden, limits, k, max_n):
         top = min(max_n, 6)
         for j in range(0, min(k, 2) + 1):
-            if not verify_class_closure(
-                j, model, top, max_len=budget.max_len, max_states=budget.max_states
-            ):
+            if not verify_class_closure(j, model, top, **limits):
                 return False, f"deletion left the ball at k={j}"
         for n in range(1, top + 1):
             for j in range(min(k, 2)):
-                if not budget.ball(n, j, model) <= budget.ball(n, j + 1, model):
+                if not ball_set(n, j, model, **limits) <= ball_set(n, j + 1, model, **limits):
                     return False, f"nesting failed at n={n}, k={j}"
         return True, f"deletion closure and nesting for n <= {top}, k <= {min(k, 2)}"
 
@@ -233,15 +232,13 @@ def _check_closure(model: Model):
 
 
 def _check_ball_characterization(model: Model):
-    def run(golden, budget, k, max_n):
+    def run(golden, limits, k, max_n):
         top = min(max_n, 7 if model is Model.BLOCK else 6)
         for j in range(1, min(k, 2) + 1):
-            report = genset.generating_set_constructive(
-                j, model, max_len=budget.max_len, max_states=budget.max_states
-            )
+            report = genset.generating_set_constructive(j, model, **limits)
             for n in range(1, top + 1):
-                in_ball = budget.ball(n, j, model)
-                for p in _all_perms(n):
+                in_ball = ball_set(n, j, model, **limits)
+                for p in all_perms(n):
                     if genset.mi_union_member(p, report) != (p in in_ball):
                         return False, f"mismatch at {core.format_perm(p)}, k={j}"
         return True, f"inflation-union equals ball for k <= {min(k, 2)}, n <= {top}"
@@ -249,25 +246,23 @@ def _check_ball_characterization(model: Model):
     return run
 
 
-def _check_one_step_closure(golden, budget, k, max_n):
+def _check_one_step_closure(golden, limits, k, max_n):
     base = (1, 3, 2, 4)
     top = min(max_n, 6)
-    constructed = genset.mi_plus_one(base, top, max_len=budget.max_len)
+    constructed = genset.mi_plus_one(base, top, max_len=limits["max_len"])
     brute: set[Perm] = set()
     for n in range(2, top + 1):
-        for p in _all_perms(n):
+        for p in all_perms(n):
             if core.mi_member(p, base):
                 brute.update(models.neighbors(p, Model.BLOCK))
     ok = constructed == core.perm_set(brute)
     return ok, f"{len(constructed)} permutations up to length {top}, both routes"
 
 
-def _check_ptd_parents(golden, budget, k, max_n):
+def _check_ptd_parents(golden, limits, k, max_n):
     top = min(max(k, 2), 3)
     reports = {
-        j: genset.generating_set_constructive(
-            j, Model.PREFIX, max_len=budget.max_len, max_states=budget.max_states
-        )
+        j: genset.generating_set_constructive(j, Model.PREFIX, **limits)
         for j in range(1, top + 1)
     }
     for j in range(2, top + 1):
@@ -280,10 +275,10 @@ def _check_ptd_parents(golden, budget, k, max_n):
     return True, f"unique parents recovered for k = 2..{top}"
 
 
-def _check_transposition_inverse(golden, budget, k, max_n):
+def _check_transposition_inverse(golden, limits, k, max_n):
     top = min(max_n, 6)
     for n in range(2, top + 1):
-        for p in _all_perms(n):
+        for p in all_perms(n):
             for t in models.transposition_triples(n, Model.BLOCK):
                 i, j, kk = t
                 undo = (i, i + kk - j, kk)
@@ -297,11 +292,9 @@ def _check_basis_properties(model: Model):
     # never appears in a block-model basis element; under the prefix model a
     # leading 1 is not free (132 is a basis element) and only the trailing
     # maximum is excluded.
-    def run(golden, budget, k, max_n):
+    def run(golden, limits, k, max_n):
         for j in range(1, min(k, 2) + 1):
-            report = compute_basis(
-                j, model, max_len=budget.max_len, max_states=budget.max_states
-            )
+            report = compute_basis(j, model, **limits)
             for e in report.elements:
                 if not core.is_plus_irreducible(e):
                     return False, f"{core.format_perm(e)} is not plus irreducible"
@@ -358,14 +351,14 @@ def run_verification(
     max_len: int,
     max_states: int | None,
 ) -> list[CheckResult]:
-    budget = _Budget(max_len=max_len, max_states=max_states)
+    limits = {"max_len": max_len, "max_states": max_states}
     results = []
     for name, fn in _registry(model_tags, k, max_n):
         try:
-            ok, detail = fn(golden, budget, k, max_n)
+            ok, detail = fn(golden, limits, k, max_n)
             results.append(CheckResult(name, "PASS" if ok else "FAIL", detail))
         except BudgetError as exc:
             results.append(CheckResult(name, "SKIPPED", str(exc)))
-        except (KeyError, ValueError, TypeError) as exc:
-            results.append(CheckResult(name, "FAIL", f"expected values unusable: {exc!r}"))
+        except _GoldenError as exc:
+            results.append(CheckResult(name, "FAIL", f"expected values unusable: {exc}"))
     return results

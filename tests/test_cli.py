@@ -181,6 +181,37 @@ def test_verify_detects_corrupted_expected_values(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_labels_a_missing_expected_value(tmp_path, capsys):
+    from permball.verify import load_golden
+
+    golden = load_golden()
+    del golden["bases"]["td"]["1"]
+    bad = tmp_path / "golden.json"
+    bad.write_text(json.dumps(golden))
+    code, payload, _ = run_json(
+        capsys, "verify", "--model", "td", "-k", "1", "--max-n", "4", "--golden", str(bad)
+    )
+    assert code == 1
+    checks = {c["name"]: c for c in payload["result"]["checks"]}
+    assert checks["golden-basis-td-k1"]["status"] == "FAIL"
+    assert "expected values unusable" in checks["golden-basis-td-k1"]["detail"]
+    assert checks["basis-probe-td-k1"]["status"] == "PASS"
+
+
+def test_verify_does_not_blame_engine_errors_on_expected_values(monkeypatch):
+    from permball import genset, verify
+    from permball.models import Model
+
+    def broken(*args, **kwargs):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(genset, "generating_set_direct", broken)
+    with pytest.raises(ValueError, match="engine bug"):
+        verify.run_verification(
+            [Model.BLOCK], 1, 4, verify.load_golden(), max_len=10, max_states=None
+        )
+
+
 def test_verify_skips_when_budget_is_too_small(capsys):
     code, out, _ = run(
         capsys,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from permball import core
+from permball import core, models
 from permball.core import BudgetError, identity, parse_perm, reduce
 from permball.models import (
     Model,
@@ -262,3 +262,48 @@ def test_ball_caps():
         ball(9, 1, "td", max_len=9, max_states=3)
     with pytest.raises(ValueError):
         ball(4, -1, "td")
+
+
+# --- budgets ---------------------------------------------------------------------
+
+
+def test_refused_ball_leaves_the_level_table_unchanged():
+    models._reset_caches()
+    table = models._table(8, Model.BLOCK)
+    ball(8, 2, "td")
+    before = len(table.dist)
+    with pytest.raises(BudgetError):
+        ball(8, 3, "td", max_states=before + 1000)
+    assert len(table.dist) == before
+    assert sum(map(len, table.levels)) == before
+    retry = ball(8, 3, "td")
+    models._reset_caches()
+    assert retry == ball(8, 3, "td")
+
+
+def test_refused_bidirectional_search_is_not_memoized():
+    models._reset_caches()
+    p = tuple(range(8, 0, -1))
+    with pytest.raises(BudgetError):
+        models._bidirectional(p, Model.BLOCK, max_states=10)
+    assert (Model.BLOCK, p) not in models._bidi_memo
+    # the reversal of length n >= 3 is floor(n/2) + 1 block transpositions away
+    assert models._bidirectional(p, Model.BLOCK, max_states=None) == 5
+
+
+def test_budget_refuses_during_expansion(monkeypatch):
+    models._reset_caches()
+    table = models._table(10, Model.BLOCK)
+    ball(10, 2, "td")
+    full_level = len(table.levels[-1]) * len(list(transposition_triples(10, "td")))
+    children = 0
+
+    def counting(p, t):
+        nonlocal children
+        children += 1
+        return apply_transposition(p, t)
+
+    monkeypatch.setattr(models, "apply_transposition", counting)
+    with pytest.raises(BudgetError):
+        ball(10, 3, "td", max_states=50_000)
+    assert 0 < children < full_level
