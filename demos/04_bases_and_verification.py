@@ -42,7 +42,7 @@ print("avoidance characterization at length 5: OK")
 # `permball verify` wraps exactly this.
 results = run_verification(
     [Model.BLOCK, Model.PREFIX], k=1, max_n=5, golden=load_golden(),
-    max_len=10, max_states=2_000_000,
+    max_states=2_000_000,
 )
 width = max(len(r.name) for r in results)
 for r in results:

@@ -9,10 +9,11 @@ one length above the bound confirms emptiness there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import core
-from .core import BudgetError, DEFAULT_MAX_LEN, Perm
+from .core import DEFAULT_MAX_STATES, Perm
 from .genset import element_length
 from .models import Model, ball, ball_set
 
@@ -34,10 +35,10 @@ class BasisReport:
     probe: BasisProbe | None = None
 
 
-def _minimal_nonmembers_at(n: int, k: int, model: Model, **limits) -> list[Perm]:
+def _minimal_nonmembers_at(n: int, k: int, model: Model, max_states: int | None) -> list[Perm]:
     """Basis elements of length n: outside the ball, with every deletion inside."""
-    inside = ball_set(n, k, model, **limits)
-    inside_shorter = ball_set(n - 1, k, model, **limits)
+    inside = ball_set(n, k, model, max_states=max_states)
+    inside_shorter = ball_set(n - 1, k, model, max_states=max_states)
     found = []
     for p in core.all_perms(n):
         if p in inside:
@@ -52,29 +53,27 @@ def basis(
     model: Model | str,
     probe_extra: bool = False,
     *,
-    max_len: int = DEFAULT_MAX_LEN,
-    max_states: int | None = None,
+    max_states: int | None = DEFAULT_MAX_STATES,
 ) -> BasisReport:
     """Compute the basis of B_k by exhaustive filtering up to the length bound.
 
     For each length from 2 to the bound, keep the permutations outside the
     ball whose one-point deletions all lie inside it. With ``probe_extra``
     the scan also covers one length above the bound and records the (expected
-    empty) findings.
+    empty) findings. Refuses up front when the longest scan exceeds
+    ``max_states`` permutations.
     """
     model = Model.coerce(model)
     if k < 1:
         raise ValueError("k must be at least 1")
     bound = element_length(k, model)
-    top = bound + 1 if probe_extra else bound
-    if top > max_len:
-        raise BudgetError(f"scan up to length {top} exceeds the cap {max_len}")
+    core.check_budget(math.factorial(bound + 1 if probe_extra else bound), max_states)
     elements: list[Perm] = []
     for n in range(2, bound + 1):
-        elements.extend(_minimal_nonmembers_at(n, k, model, max_len=max_len, max_states=max_states))
+        elements.extend(_minimal_nonmembers_at(n, k, model, max_states))
     probe = None
     if probe_extra:
-        extra = _minimal_nonmembers_at(bound + 1, k, model, max_len=max_len, max_states=max_states)
+        extra = _minimal_nonmembers_at(bound + 1, k, model, max_states)
         probe = BasisProbe(length=bound + 1, elements=core.perm_set(extra))
     return BasisReport(
         k=k,
@@ -86,11 +85,7 @@ def basis(
 
 
 def basis_via_poset_descent(
-    k: int,
-    model: Model | str,
-    *,
-    max_len: int = DEFAULT_MAX_LEN,
-    max_states: int | None = None,
+    k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> BasisReport:
     """Compute the same basis by descending the pattern poset from the top.
 
@@ -105,13 +100,12 @@ def basis_via_poset_descent(
     if k < 1:
         raise ValueError("k must be at least 1")
     bound = element_length(k, model)
-    if bound > max_len:
-        raise BudgetError(f"scan up to length {bound} exceeds the cap {max_len}")
-    inside = ball_set(bound, k, model, max_len=max_len, max_states=max_states)
+    core.check_budget(math.factorial(bound), max_states)
+    inside = ball_set(bound, k, model, max_states=max_states)
     frontier = {p for p in core.all_perms(bound) if p not in inside}
     found: set[Perm] = set()
     for n in range(bound, 1, -1):
-        inside_shorter = ball_set(n - 1, k, model, max_len=max_len, max_states=max_states)
+        inside_shorter = ball_set(n - 1, k, model, max_states=max_states)
         descend: set[Perm] = set()
         for p in frontier:
             outside = [q for q in core.one_point_deletions(p) if q not in inside_shorter]
@@ -134,19 +128,16 @@ def verify_class_closure(
     model: Model | str,
     n_max: int,
     *,
-    max_len: int = DEFAULT_MAX_LEN,
-    max_states: int | None = None,
+    max_states: int | None = DEFAULT_MAX_STATES,
 ) -> bool:
     """Check the down-set property directly: every one-point deletion of a
     ball member is again a ball member, for all lengths up to ``n_max``."""
     model = Model.coerce(model)
     if k < 0:
         raise ValueError("negative radius")
-    if n_max > max_len:
-        raise BudgetError(f"length {n_max} exceeds the cap {max_len}")
     for n in range(1, n_max + 1):
-        shorter = ball_set(n - 1, k, model, max_len=max_len, max_states=max_states)
-        for p in ball(n, k, model, max_len=max_len, max_states=max_states):
+        shorter = ball_set(n - 1, k, model, max_states=max_states)
+        for p in ball(n, k, model, max_states=max_states):
             if any(q not in shorter for q in core.one_point_deletions(p)):
                 return False
     return True

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any
@@ -26,30 +25,14 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _default_max_len() -> int:
-    value = os.environ.get("PERMBALL_MAX_LEN")
-    if value is None:
-        return core.DEFAULT_MAX_LEN
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"PERMBALL_MAX_LEN must be an integer, got {value!r}") from None
-
-
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
-        "--max-len",
-        type=int,
-        default=None,
-        help="cap on permutation length for enumerations (default: "
-        "$PERMBALL_MAX_LEN or 10)",
-    )
-    parser.add_argument(
         "--max-states",
         type=int,
-        default=2_000_000,
-        help="cap on visited search states (default: 2000000)",
+        default=core.DEFAULT_MAX_STATES,
+        help="cap on visited search states and enumerated permutations (default: "
+        f"{core.DEFAULT_MAX_STATES}, the library's default too)",
     )
 
 
@@ -106,20 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_command(args: argparse.Namespace, max_len: int) -> tuple[dict[str, Any], int]:
+def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     """Execute one subcommand; return (result payload, exit code)."""
     max_states = args.max_states
-    if args.command == "distance":
+    if hasattr(args, "perm"):
         p = core.parse_perm(args.perm)
-        if len(p) > max_len:
-            raise BudgetError(f"length {len(p)} exceeds the cap {max_len}")
+        if len(p) > models._PACK_MAX:
+            raise BudgetError(f"length {len(p)} exceeds the supported length {models._PACK_MAX}")
+
+    if args.command == "distance":
         d = models.distance(p, args.model, max_states=max_states)
         return {"distance": d}, EXIT_OK
 
     if args.command == "neighbors":
-        p = core.parse_perm(args.perm)
-        if len(p) > max_len:
-            raise BudgetError(f"length {len(p)} exceeds the cap {max_len}")
         found = models.neighbors(p, args.model)
         result: dict[str, Any] = {"count": len(found)}
         if not args.count_only:
@@ -127,16 +109,14 @@ def _run_command(args: argparse.Namespace, max_len: int) -> tuple[dict[str, Any]
         return result, EXIT_OK
 
     if args.command == "ball":
-        found = models.ball(args.n, args.k, args.model, max_len=max_len, max_states=max_states)
+        found = models.ball(args.n, args.k, args.model, max_states=max_states)
         result = {"count": len(found)}
         if not args.count_only:
             result["elements"] = [core.format_perm(q) for q in found]
         return result, EXIT_OK
 
     if args.command == "genset":
-        report = genset.generating_set(
-            args.k, args.model, args.method, max_len=max_len, max_states=max_states
-        )
+        report = genset.generating_set(args.k, args.model, args.method, max_states=max_states)
         return {
             "k": report.k,
             "model": report.model.value,
@@ -147,9 +127,7 @@ def _run_command(args: argparse.Namespace, max_len: int) -> tuple[dict[str, Any]
         }, EXIT_OK
 
     if args.command == "basis":
-        report = compute_basis(
-            args.k, args.model, probe_extra=args.probe, max_len=max_len, max_states=max_states
-        )
+        report = compute_basis(args.k, args.model, probe_extra=args.probe, max_states=max_states)
         result = {
             "k": report.k,
             "model": report.model.value,
@@ -171,9 +149,7 @@ def _run_command(args: argparse.Namespace, max_len: int) -> tuple[dict[str, Any]
     if args.command == "verify":
         tags = [Model(args.model)] if args.model else [Model.BLOCK, Model.PREFIX]
         golden = verify.load_golden(args.golden)
-        results = verify.run_verification(
-            tags, args.k, args.max_n, golden, max_len=max_len, max_states=max_states
-        )
+        results = verify.run_verification(tags, args.k, args.max_n, golden, max_states)
         payload = {
             "model": args.model or "both",
             "k": args.k,
@@ -216,8 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        max_len = _default_max_len() if args.max_len is None else args.max_len
-        result, code = _run_command(args, max_len)
+        result, code = _run_command(args)
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

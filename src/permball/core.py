@@ -18,12 +18,21 @@ from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
 
-#: Default cap on permutation length for exhaustive enumerations.
-DEFAULT_MAX_LEN = 10
+#: Default cap on visited search states and enumerated permutations, for the
+#: library and the CLI alike; a caller may pass None for no cap.
+DEFAULT_MAX_STATES = 2_000_000
 
 
 class BudgetError(RuntimeError):
-    """An enumeration or search would exceed its configured cap."""
+    """An enumeration or search would exceed its state budget."""
+
+
+def check_budget(size: int, max_states: int | None) -> None:
+    """Refuse an enumeration of ``size`` candidates (permutations or
+    inflation vectors) that exceeds ``max_states``; callers that know the
+    size in advance check it before they start."""
+    if max_states is not None and size > max_states:
+        raise BudgetError(f"{size} candidates exceed the state budget {max_states}")
 
 
 def check_perm(values: Iterable[int]) -> Perm:
@@ -284,14 +293,14 @@ def plus_irreducible_count(n: int) -> int:
     return prev1
 
 
-def enumerate_plus_irreducible(n: int, max_len: int = DEFAULT_MAX_LEN) -> tuple[Perm, ...]:
+def enumerate_plus_irreducible(
+    n: int, *, max_states: int | None = DEFAULT_MAX_STATES
+) -> tuple[Perm, ...]:
     """All plus-irreducible permutations of length ``n``, in lexicographic
-    order. Guarded by ``max_len``; exceeding it raises BudgetError rather
-    than silently truncating."""
+    order. Refuses up front when their count exceeds ``max_states``."""
     if n < 0:
         raise ValueError("negative length")
-    if n > max_len:
-        raise BudgetError(f"length {n} exceeds the enumeration cap {max_len}")
+    check_budget(plus_irreducible_count(n - 1) if n else 1, max_states)
     out: list[Perm] = []
     chosen: list[int] = []
     used = [False] * (n + 1)

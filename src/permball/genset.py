@@ -6,24 +6,26 @@ monotone-inflation classes of finitely many "generating" permutations: its
 maximal plus-irreducible members. For the block model these have length
 3k+1; for the prefix model, length 2k+1.
 
-Two independent routes compute the same sets. The direct route filters the
-plus-irreducible permutations of the right length by exact distance. The
-constructive route grows generation k+1 from generation k: for the block
-model, inflate three chosen positions into strips and break all of them with
-one transposition; for the prefix model, apply one of three shape-preserving
-inflation steps (one per relative arrangement of the two chosen entries).
-The prefix steps are uniquely invertible, which is what makes the prefix
-generating sets countable in closed form ((2k)!/2^k).
+Two independent routes compute the same sets. The direct route keeps the
+plus-irreducible members of the ball at the right length that lie outside
+the ball one radius smaller. The constructive route grows generation k+1
+from generation k: for the block model, inflate three chosen positions into
+strips and break all of them with one transposition; for the prefix model,
+apply one of three shape-preserving inflation steps (one per relative
+arrangement of the two chosen entries). The prefix steps are uniquely
+invertible, which is what makes the prefix generating sets countable in
+closed form ((2k)!/2^k).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import core, models
-from .core import BudgetError, DEFAULT_MAX_LEN, Perm
+from .core import DEFAULT_MAX_STATES, Perm
 from .models import Model
 
 
@@ -229,24 +231,18 @@ def element_length(k: int, model: Model | str) -> int:
 
 
 def generating_set_constructive(
-    k: int,
-    model: Model | str,
-    *,
-    max_len: int = DEFAULT_MAX_LEN,
-    max_states: int | None = None,
+    k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> GeneratingSetReport:
     """Grow the generating set recursively from the length-1 identity,
     applying every inflation step k times and deduplicating.
 
     The block-model steps can produce the same permutation several times;
     the prefix-model steps never collide (each result has a unique parent).
+    The budget caps each generation and is checked after each parent.
     """
     model = Model.coerce(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    target = element_length(k, model)
-    if target > max_len:
-        raise BudgetError(f"element length {target} exceeds the cap {max_len}")
     current: set[Perm] = {(1,)}
     for _ in range(k):
         grown: set[Perm] = set()
@@ -257,37 +253,31 @@ def generating_set_constructive(
             else:
                 for case in ptd_cases(parent):
                     grown.add(ptd_inflate(parent, case))
-        if max_states is not None and len(grown) > max_states:
-            raise BudgetError(f"generating set exceeds the state budget {max_states}")
+            core.check_budget(len(grown), max_states)
         current = grown
     return GeneratingSetReport(
         k=k,
         model=model,
         method="constructive",
         elements=core.perm_set(current),
-        element_length=target,
+        element_length=element_length(k, model),
     )
 
 
 def generating_set_direct(
-    k: int,
-    model: Model | str,
-    *,
-    max_len: int = DEFAULT_MAX_LEN,
-    max_states: int | None = None,
+    k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> GeneratingSetReport:
-    """Filter the plus-irreducible permutations of the target length down to
-    those at distance exactly k (inside ball k, outside ball k-1)."""
+    """Filter the members of ball k at the target length down to the plus
+    irreducible ones at distance exactly k (outside ball k-1)."""
     model = Model.coerce(model)
     if k < 1:
         raise ValueError("k must be at least 1")
     target = element_length(k, model)
-    inside = models.ball_set(target, k, model, max_len=max_len, max_states=max_states)
-    closer = models.ball_set(target, k - 1, model, max_len=max_len, max_states=max_states)
+    closer = models.ball_set(target, k - 1, model, max_states=max_states)
     elements = tuple(
         p
-        for p in core.enumerate_plus_irreducible(target, max_len=max_len)
-        if p in inside and p not in closer
+        for p in models.ball(target, k, model, max_states=max_states)
+        if core.is_plus_irreducible(p) and p not in closer
     )
     return GeneratingSetReport(
         k=k, model=model, method="direct", elements=elements, element_length=target
@@ -299,14 +289,13 @@ def generating_set(
     model: Model | str,
     method: str = "direct",
     *,
-    max_len: int = DEFAULT_MAX_LEN,
-    max_states: int | None = None,
+    max_states: int | None = DEFAULT_MAX_STATES,
 ) -> GeneratingSetReport:
     """Dispatch on ``method`` ("direct" or "constructive")."""
     if method == "direct":
-        return generating_set_direct(k, model, max_len=max_len, max_states=max_states)
+        return generating_set_direct(k, model, max_states=max_states)
     if method == "constructive":
-        return generating_set_constructive(k, model, max_len=max_len, max_states=max_states)
+        return generating_set_constructive(k, model, max_states=max_states)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -317,7 +306,7 @@ def mi_union_member(p: Perm, report: GeneratingSetReport) -> bool:
 
 
 def mi_plus_one(
-    base: Perm, n_max: int, *, max_len: int = DEFAULT_MAX_LEN
+    base: Perm, n_max: int, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> tuple[Perm, ...]:
     """Everything reachable by exactly one block transposition from any
     monotone inflation of ``base``, materialized up to length ``n_max``.
@@ -326,14 +315,17 @@ def mi_plus_one(
     copy of ``base`` always lands inside the inflation class of some
     strip-broken child td_inflate(base, I), and every such class is reached.
     Operations need at least two entries, so nothing shorter than 2 appears.
+    Refuses up front when the inflation vectors to enumerate, C(b+2, 3) index
+    multisets times C(n_max+b+3, b+3) vectors each for b = len(base), exceed
+    ``max_states``.
     """
     base = core.check_perm(base)
     if not core.is_plus_irreducible(base):
         raise ValueError(f"{base!r} is not plus irreducible")
-    if n_max > max_len:
-        raise BudgetError(f"length {n_max} exceeds the enumeration cap {max_len}")
+    b = len(base)
+    core.check_budget(math.comb(b + 2, 3) * math.comb(n_max + b + 3, b + 3), max_states)
     out: set[Perm] = set()
-    for indices in index_multisets(len(base)):
+    for indices in index_multisets(b):
         _, broken = td_inflate(base, indices)
         out.update(q for q in core.mi_members(broken, n_max) if len(q) >= 2)
     return core.perm_set(out)

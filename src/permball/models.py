@@ -24,7 +24,7 @@ import math
 from typing import Iterator
 
 from . import core
-from .core import BudgetError, DEFAULT_MAX_LEN, Perm
+from .core import BudgetError, DEFAULT_MAX_STATES, Perm
 
 
 class Model(enum.Enum):
@@ -208,7 +208,9 @@ def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
     return int(best)
 
 
-def distance(p: Perm, model: Model | str, *, max_states: int | None = None) -> int:
+def distance(
+    p: Perm, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
+) -> int:
     """Exact minimum number of operations transforming ``p`` into the identity.
 
     Block-model queries are answered on reduce(p): collapsing strips never
@@ -239,7 +241,7 @@ def distance(p: Perm, model: Model | str, *, max_states: int | None = None) -> i
 
 
 def pairwise_distance(
-    p: Perm, q: Perm, model: Model | str, *, max_states: int | None = None
+    p: Perm, q: Perm, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> int:
     """Exact minimum number of operations transforming ``p`` into ``q``.
 
@@ -259,8 +261,7 @@ def ball(
     k: int,
     model: Model | str,
     *,
-    max_len: int = DEFAULT_MAX_LEN,
-    max_states: int | None = None,
+    max_states: int | None = DEFAULT_MAX_STATES,
 ) -> tuple[Perm, ...]:
     """All permutations of length ``n`` at distance <= k from the identity,
     via k-level breadth-first expansion from the identity."""
@@ -269,8 +270,6 @@ def ball(
         raise ValueError("negative length")
     if k < 0:
         raise ValueError("negative radius")
-    if n > max_len:
-        raise BudgetError(f"length {n} exceeds the enumeration cap {max_len}")
     if n > _PACK_MAX:
         raise BudgetError(f"ball construction supports length <= {_PACK_MAX}")
     if n == 0:
@@ -284,6 +283,8 @@ def ball(
     )
 
 
-def ball_set(n: int, k: int, model: Model | str, **limits) -> frozenset[Perm]:
-    """The members of ``ball(n, k, model, **limits)`` as a set, for membership tests."""
-    return frozenset(ball(n, k, model, **limits))
+def ball_set(
+    n: int, k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
+) -> frozenset[Perm]:
+    """The members of ``ball(n, k, model)`` as a set, for membership tests."""
+    return frozenset(ball(n, k, model, max_states=max_states))

@@ -74,15 +74,15 @@ def _examples(w: dict) -> tuple:
 
 
 # --- individual checks ------------------------------------------------------
-# Every check takes (golden, limits, k, max_n) and returns (ok, detail);
-# ``limits`` holds the max_len / max_states keywords, forwarded unchanged.
+# Every check takes (golden, max_states, k, max_n) and returns (ok, detail);
+# ``max_states`` is the state budget, forwarded unchanged.
 
 
 def _check_genset_golden(model: Model, j: int):
-    def run(golden, limits, k, max_n):
+    def run(golden, max_states, k, max_n):
         expected = _golden(golden, _perms, "generating_sets", model.value, str(j))
-        direct = genset.generating_set_direct(j, model, **limits).elements
-        constructive = genset.generating_set_constructive(j, model, **limits).elements
+        direct = genset.generating_set_direct(j, model, max_states=max_states).elements
+        constructive = genset.generating_set_constructive(j, model, max_states=max_states).elements
         ok = direct == expected and constructive == expected
         return ok, f"{len(expected)} elements, both methods"
 
@@ -90,10 +90,12 @@ def _check_genset_golden(model: Model, j: int):
 
 
 def _check_genset_cardinality(j: int):
-    def run(golden, limits, k, max_n):
+    def run(golden, max_states, k, max_n):
         expected = _golden(golden, int, "generating_set_cardinalities", "ptd", str(j))
-        direct = genset.generating_set_direct(j, Model.PREFIX, **limits).elements
-        constructive = genset.generating_set_constructive(j, Model.PREFIX, **limits).elements
+        direct = genset.generating_set_direct(j, Model.PREFIX, max_states=max_states).elements
+        constructive = genset.generating_set_constructive(
+            j, Model.PREFIX, max_states=max_states
+        ).elements
         ok = len(direct) == expected and direct == constructive
         return ok, f"cardinality {len(direct)} (expected {expected}), methods agree"
 
@@ -101,10 +103,10 @@ def _check_genset_cardinality(j: int):
 
 
 def _check_basis_golden(model: Model, j: int):
-    def run(golden, limits, k, max_n):
+    def run(golden, max_states, k, max_n):
         expected = _golden(golden, _perms, "bases", model.value, str(j))
-        primary = compute_basis(j, model, **limits).elements
-        descent = basis_via_poset_descent(j, model, **limits).elements
+        primary = compute_basis(j, model, max_states=max_states).elements
+        descent = basis_via_poset_descent(j, model, max_states=max_states).elements
         ok = primary == expected and descent == expected
         return ok, f"{len(expected)} elements, both methods"
 
@@ -112,8 +114,8 @@ def _check_basis_golden(model: Model, j: int):
 
 
 def _check_basis_probe(model: Model, j: int):
-    def run(golden, limits, k, max_n):
-        report = compute_basis(j, model, probe_extra=True, **limits)
+    def run(golden, max_states, k, max_n):
+        report = compute_basis(j, model, probe_extra=True, max_states=max_states)
         assert report.probe is not None
         ok = report.probe.elements == ()
         return ok, f"nothing at length {report.probe.length}"
@@ -121,20 +123,20 @@ def _check_basis_probe(model: Model, j: int):
     return run
 
 
-def _check_counts(golden, limits, k, max_n):
+def _check_counts(golden, max_states, k, max_n):
     expected = _golden(golden, _counts, "plus_irreducible_counts_by_length")
-    enum_top = min(max(max_n + 1, 7), 8, limits["max_len"])
+    enum_top = min(max(max_n + 1, 7), 8)
     for length, value in expected.items():
         if core.plus_irreducible_count(length - 1) != value:
             return False, f"recurrence disagrees at length {length}"
         if length <= enum_top:
-            found = len(core.enumerate_plus_irreducible(length, max_len=limits["max_len"]))
+            found = len(core.enumerate_plus_irreducible(length, max_states=max_states))
             if found != value:
                 return False, f"enumeration found {found} at length {length}"
     return True, f"lengths 1..8 by recurrence, 1..{enum_top} by enumeration"
 
 
-def _check_worked_examples(golden, limits, k, max_n):
+def _check_worked_examples(golden, max_states, k, max_n):
     reduction, inflation, strip_break, distances = _golden(golden, _examples, "worked_examples")
     source, reduced = reduction
     if core.reduce(source) != reduced:
@@ -151,7 +153,7 @@ def _check_worked_examples(golden, limits, k, max_n):
     return True, "reduction, inflation, strip-break and distance examples"
 
 
-def _check_breakpoint_bound(golden, limits, k, max_n):
+def _check_breakpoint_bound(golden, max_states, k, max_n):
     top = min(max_n, 7)
     for n in range(1, top + 1):
         for p in all_perms(n):
@@ -161,7 +163,7 @@ def _check_breakpoint_bound(golden, limits, k, max_n):
     return True, f"exhaustive for n <= {top}"
 
 
-def _check_reduction_invariance(golden, limits, k, max_n):
+def _check_reduction_invariance(golden, max_states, k, max_n):
     top = min(max_n, 7)
     for n in range(1, top + 1):
         for p in all_perms(n):
@@ -170,7 +172,7 @@ def _check_reduction_invariance(golden, limits, k, max_n):
     return True, f"exhaustive for n <= {top}"
 
 
-def _check_ptd_reduction_empirical(golden, limits, k, max_n):
+def _check_ptd_reduction_empirical(golden, max_states, k, max_n):
     # Not a promised identity: a failure here is an observation about the
     # model, not an engine bug, and is reported as such.
     top = min(max_n, 6)
@@ -185,7 +187,7 @@ def _check_ptd_reduction_empirical(golden, limits, k, max_n):
     return True, f"holds empirically for n <= {top} (no guarantee implied)"
 
 
-def _check_model_refinement(golden, limits, k, max_n):
+def _check_model_refinement(golden, max_states, k, max_n):
     top = min(max_n, 6)
     for n in range(1, top + 1):
         for p in all_perms(n):
@@ -195,7 +197,7 @@ def _check_model_refinement(golden, limits, k, max_n):
 
 
 def _check_left_invariance(model: Model):
-    def run(golden, limits, k, max_n):
+    def run(golden, max_states, k, max_n):
         def compose(f: Perm, g: Perm) -> Perm:
             return tuple(f[x - 1] for x in g)
 
@@ -217,14 +219,15 @@ def _check_left_invariance(model: Model):
 
 
 def _check_closure(model: Model):
-    def run(golden, limits, k, max_n):
+    def run(golden, max_states, k, max_n):
         top = min(max_n, 6)
         for j in range(0, min(k, 2) + 1):
-            if not verify_class_closure(j, model, top, **limits):
+            if not verify_class_closure(j, model, top, max_states=max_states):
                 return False, f"deletion left the ball at k={j}"
         for n in range(1, top + 1):
             for j in range(min(k, 2)):
-                if not ball_set(n, j, model, **limits) <= ball_set(n, j + 1, model, **limits):
+                inner = ball_set(n, j, model, max_states=max_states)
+                if not inner <= ball_set(n, j + 1, model, max_states=max_states):
                     return False, f"nesting failed at n={n}, k={j}"
         return True, f"deletion closure and nesting for n <= {top}, k <= {min(k, 2)}"
 
@@ -232,12 +235,12 @@ def _check_closure(model: Model):
 
 
 def _check_ball_characterization(model: Model):
-    def run(golden, limits, k, max_n):
+    def run(golden, max_states, k, max_n):
         top = min(max_n, 7 if model is Model.BLOCK else 6)
         for j in range(1, min(k, 2) + 1):
-            report = genset.generating_set_constructive(j, model, **limits)
+            report = genset.generating_set_constructive(j, model, max_states=max_states)
             for n in range(1, top + 1):
-                in_ball = ball_set(n, j, model, **limits)
+                in_ball = ball_set(n, j, model, max_states=max_states)
                 for p in all_perms(n):
                     if genset.mi_union_member(p, report) != (p in in_ball):
                         return False, f"mismatch at {core.format_perm(p)}, k={j}"
@@ -246,10 +249,10 @@ def _check_ball_characterization(model: Model):
     return run
 
 
-def _check_one_step_closure(golden, limits, k, max_n):
+def _check_one_step_closure(golden, max_states, k, max_n):
     base = (1, 3, 2, 4)
     top = min(max_n, 6)
-    constructed = genset.mi_plus_one(base, top, max_len=limits["max_len"])
+    constructed = genset.mi_plus_one(base, top, max_states=max_states)
     brute: set[Perm] = set()
     for n in range(2, top + 1):
         for p in all_perms(n):
@@ -259,10 +262,10 @@ def _check_one_step_closure(golden, limits, k, max_n):
     return ok, f"{len(constructed)} permutations up to length {top}, both routes"
 
 
-def _check_ptd_parents(golden, limits, k, max_n):
+def _check_ptd_parents(golden, max_states, k, max_n):
     top = min(max(k, 2), 3)
     reports = {
-        j: genset.generating_set_constructive(j, Model.PREFIX, **limits)
+        j: genset.generating_set_constructive(j, Model.PREFIX, max_states=max_states)
         for j in range(1, top + 1)
     }
     for j in range(2, top + 1):
@@ -275,7 +278,7 @@ def _check_ptd_parents(golden, limits, k, max_n):
     return True, f"unique parents recovered for k = 2..{top}"
 
 
-def _check_transposition_inverse(golden, limits, k, max_n):
+def _check_transposition_inverse(golden, max_states, k, max_n):
     top = min(max_n, 6)
     for n in range(2, top + 1):
         for p in all_perms(n):
@@ -292,9 +295,9 @@ def _check_basis_properties(model: Model):
     # never appears in a block-model basis element; under the prefix model a
     # leading 1 is not free (132 is a basis element) and only the trailing
     # maximum is excluded.
-    def run(golden, limits, k, max_n):
+    def run(golden, max_states, k, max_n):
         for j in range(1, min(k, 2) + 1):
-            report = compute_basis(j, model, **limits)
+            report = compute_basis(j, model, max_states=max_states)
             for e in report.elements:
                 if not core.is_plus_irreducible(e):
                     return False, f"{core.format_perm(e)} is not plus irreducible"
@@ -348,14 +351,12 @@ def run_verification(
     k: int,
     max_n: int,
     golden: dict,
-    max_len: int,
     max_states: int | None,
 ) -> list[CheckResult]:
-    limits = {"max_len": max_len, "max_states": max_states}
     results = []
     for name, fn in _registry(model_tags, k, max_n):
         try:
-            ok, detail = fn(golden, limits, k, max_n)
+            ok, detail = fn(golden, max_states, k, max_n)
             results.append(CheckResult(name, "PASS" if ok else "FAIL", detail))
         except BudgetError as exc:
             results.append(CheckResult(name, "SKIPPED", str(exc)))

@@ -104,9 +104,21 @@ def test_td_extension_beyond_published_values():
     assert report.probe.elements == ()
 
 
+def test_basis_refuses_before_any_scan(monkeypatch):
+    # the scan at length 10 would visit 10! = 3,628,800 permutations
+    def no_scan(n):
+        raise AssertionError(f"scanned S_{n} before refusing")
+
+    monkeypatch.setattr(core, "all_perms", no_scan)
+    with pytest.raises(BudgetError):
+        basis(3, "td")
+    with pytest.raises(BudgetError):
+        basis_via_poset_descent(3, "td")
+
+
 def test_basis_caps():
     with pytest.raises(BudgetError):
-        basis(3, "td", probe_extra=True)  # probe length 11 > default cap
+        basis(3, "td", probe_extra=True)  # the 11! probe scan > default budget
     models._reset_caches()
     with pytest.raises(BudgetError):
         basis(2, "td", max_states=50)

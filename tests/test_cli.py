@@ -126,26 +126,18 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_budget_exit_codes(capsys):
-    code, _, err = run(capsys, "distance", "--model", "td", "10,2,3,4,5,6,7,8,9,11,1")
-    assert code == 3
-    assert "refused" in err
+    # inputs longer than the 16-entry packed code are refused on entry
+    reversed17 = ",".join(str(v) for v in range(17, 0, -1))
+    for command in ("distance", "neighbors"):
+        code, _, err = run(capsys, command, "--model", "td", reversed17)
+        assert code == 3
+        assert "refused" in err
 
-    code, _, err = run(capsys, "ball", "--model", "td", "-n", "11", "-k", "1")
+    code, _, err = run(capsys, "ball", "--model", "td", "-n", "17", "-k", "1")
     assert code == 3
 
     code, _, err = run(capsys, "genset", "--model", "td", "-k", "3", "--max-states", "1000")
     assert code == 3
-
-
-def test_max_len_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PERMBALL_MAX_LEN", "4")
-    code, _, err = run(capsys, "distance", "--model", "td", "21435")
-    assert code == 3
-    code, payload, _ = run_json(capsys, "distance", "--model", "td", "2143")
-    assert code == 0 and payload["result"]["distance"] == 2
-    monkeypatch.setenv("PERMBALL_MAX_LEN", "banana")
-    code, _, err = run(capsys, "distance", "--model", "td", "21")
-    assert code == 2
 
 
 # --- verify ----------------------------------------------------------------------
@@ -207,18 +199,18 @@ def test_verify_does_not_blame_engine_errors_on_expected_values(monkeypatch):
 
     monkeypatch.setattr(genset, "generating_set_direct", broken)
     with pytest.raises(ValueError, match="engine bug"):
-        verify.run_verification(
-            [Model.BLOCK], 1, 4, verify.load_golden(), max_len=10, max_states=None
-        )
+        verify.run_verification([Model.BLOCK], 1, 4, verify.load_golden(), max_states=None)
 
 
 def test_verify_skips_when_budget_is_too_small(capsys):
-    code, out, _ = run(
+    # the count check enumerates the 2119 plus-irreducible permutations of length 7
+    code, payload, _ = run_json(
         capsys,
-        "verify", "--model", "ptd", "-k", "2", "--max-n", "4", "--max-len", "4",
+        "verify", "--model", "ptd", "-k", "2", "--max-n", "4", "--max-states", "1000",
     )
     assert code == 0  # skipped checks are not failures
-    assert "SKIPPED" in out
+    checks = {c["name"]: c["status"] for c in payload["result"]["checks"]}
+    assert checks["plus-irreducible-counts"] == "SKIPPED"
 
 
 def test_verify_json_payload(capsys):

@@ -284,10 +284,10 @@ def test_enumeration_matches_recurrence():
 
 def test_enumeration_cap_is_enforced():
     with pytest.raises(BudgetError):
-        enumerate_plus_irreducible(11)
-    assert len(enumerate_plus_irreducible(3, max_len=3)) == 3
+        enumerate_plus_irreducible(11)  # 16,019,531 > the default budget
+    assert len(enumerate_plus_irreducible(3, max_states=3)) == 3
     with pytest.raises(BudgetError):
-        enumerate_plus_irreducible(4, max_len=3)
+        enumerate_plus_irreducible(4, max_states=10)  # 11 permutations
 
 
 def test_invert_round_trip():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from permball import core, models
+from permball import core, genset, models
 from permball.core import BudgetError, identity, parse_perm, perm_set
 from permball.genset import (
     GeneratingSetReport,
@@ -133,11 +133,27 @@ def test_ptd_generator_endpoints():
 
 def test_generating_set_caps():
     with pytest.raises(BudgetError):
-        generating_set_constructive(4, "td")  # element length 13 > default cap
+        generating_set_constructive(3, "td", max_states=100)  # 369 elements
     with pytest.raises(BudgetError):
         generating_set_direct(3, "td", max_states=1000)
     with pytest.raises(ValueError):
         generating_set(1, "td", "guesswork")
+
+
+def test_constructive_refuses_inside_the_generation_loop(monkeypatch):
+    # generation 4 of td grows from 369 parents with 220 index multisets each;
+    # a budget of 1000 must stop it long before all of them are inflated
+    calls = 0
+
+    def counting(p, indices):
+        nonlocal calls
+        calls += 1
+        return td_inflate(p, indices)
+
+    monkeypatch.setattr(genset, "td_inflate", counting)
+    with pytest.raises(BudgetError):
+        generating_set_constructive(4, "td", max_states=1000)
+    assert 0 < calls < 369 * 220
 
 
 def test_report_validation():
@@ -282,4 +298,4 @@ def test_mi_plus_one_validation():
     with pytest.raises(ValueError):
         mi_plus_one((1, 2), 4)
     with pytest.raises(BudgetError):
-        mi_plus_one((1,), 11)
+        mi_plus_one((1,), 11, max_states=1000)  # C(15, 4) = 1365 inflation vectors

@@ -255,11 +255,11 @@ def test_ball_nesting():
 
 def test_ball_caps():
     with pytest.raises(BudgetError):
-        ball(11, 1, "td")
+        ball(17, 1, "td")  # longer than the 16-entry packed code
     # length 9 is untouched by other tests, so the budget must bind here;
     # budgets bound new search work, cached levels are returned as-is
     with pytest.raises(BudgetError):
-        ball(9, 1, "td", max_len=9, max_states=3)
+        ball(9, 1, "td", max_states=3)
     with pytest.raises(ValueError):
         ball(4, -1, "td")
 
