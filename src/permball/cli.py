@@ -25,11 +25,18 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _non_negative(text: str) -> int:
+    """argparse type of a count option: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
         "--max-states",
-        type=int,
+        type=_non_negative,
         default=core.DEFAULT_MAX_STATES,
         help="cap on visited search states and enumerated permutations (default: "
         f"{core.DEFAULT_MAX_STATES}, the library's default too)",
@@ -75,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
 
     p = sub.add_parser("count-irreducible", help="number of plus-irreducible permutations")
-    p.add_argument("-n", type=int, required=True, help="permutation length")
+    p.add_argument("-n", type=_non_negative, required=True, help="permutation length")
     _common(p)
 
     p = sub.add_parser("verify", help="run the verification suite")
@@ -141,8 +148,6 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         return result, EXIT_OK
 
     if args.command == "count-irreducible":
-        if args.n < 0:
-            raise ValueError("length must be non-negative")
         count = 1 if args.n == 0 else core.plus_irreducible_count(args.n - 1)
         return {"n": args.n, "count": count}, EXIT_OK
 

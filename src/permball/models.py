@@ -6,15 +6,17 @@ left block is a prefix. Every operation has an inverse of the same kind, so
 the one-step relation is symmetric and distances to the identity can be read
 off a breadth-first expansion from the identity.
 
-All distances returned here are exact. Small lengths are answered from a
-shared level table (one full or partial BFS per (length, model), grown
-lazily and cached for the whole process); longer single queries fall back to
-a memoized bidirectional search. Results never depend on which path answered.
-State budgets bound new search work only: an answer already in the cache is
-returned as-is. A budget refuses during expansion, as soon as the visited
-states exceed it, and a refused search leaves the caches unchanged. The level
-tables and the memo are process-wide and unsynchronised, so the engine is
-single-threaded.
+All distances returned here are exact. One BFS table from the identity per
+(length, model), grown lazily and cached for the whole process, answers
+small lengths outright, holds every ball, and is the identity side of the
+memoized bidirectional search used for longer single queries. Results never
+depend on which path answered. State budgets bound search work: an answer
+already in the cache is returned as-is, and the two sides of a bidirectional
+search share one budget, the cached identity table counting in full. A
+budget refuses during expansion, as soon as the visited states exceed it; a
+refusal never leaves a partial BFS level or a memo entry behind, while whole
+levels finished before it stay cached. The tables and the memo are
+process-wide and unsynchronised, so the engine is single-threaded.
 """
 
 from __future__ import annotations
@@ -130,29 +132,28 @@ def _expand(
 
 
 class _LevelTable:
-    """Cached level-synchronous BFS from the identity of one length/model."""
+    """Level-synchronous BFS of one length/model from ``root`` (the identity
+    when None): ``dist`` of every state reached, the last level
+    ``frontier`` (empty once the graph is exhausted) and its ``depth``."""
 
-    __slots__ = ("n", "dist", "levels", "complete", "_triples")
+    __slots__ = ("n", "dist", "frontier", "depth", "_triples")
 
-    def __init__(self, n: int, model: Model):
+    def __init__(self, n: int, model: Model, root: Perm | None = None):
         self.n = n
-        start = _pack(core.identity(n))
+        start = _pack(core.identity(n) if root is None else root)
         self.dist: dict[int, int] = {start: 0}
-        self.levels: list[list[int]] = [[start]]
-        self.complete = n <= 1
+        self.frontier = [start]
+        self.depth = 0
         self._triples = list(transposition_triples(n, model))
 
     def grow(self, max_states: int | None = None) -> bool:
         """Add one BFS level; return False once the graph is exhausted."""
-        if self.complete:
-            return False
-        fresh = _expand(
-            self.levels[-1], self.dist, len(self.levels), self.n, self._triples, max_states
+        self.frontier = _expand(
+            self.frontier, self.dist, self.depth + 1, self.n, self._triples, max_states
         )
-        if not fresh:
-            self.complete = True
+        if not self.frontier:
             return False
-        self.levels.append(fresh)
+        self.depth += 1
         return True
 
 
@@ -178,30 +179,24 @@ def _reset_caches() -> None:
 
 
 def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
+    """Meet a throwaway BFS from ``p`` with the cached one from the identity;
+    ``p`` is not in the identity table yet."""
     key = (model, p)
     if key in _bidi_memo:
         return _bidi_memo[key]
-    n = len(p)
-    triples = list(transposition_triples(n, model))
     # No block-model path is shorter than the breakpoint bound ceil(b/3) of
     # Bafna and Pevzner, so meet tests before that combined depth are waste.
     lower = -(-core.breakpoint_count(p) // 3) if model is Model.BLOCK else 0
-    seen = ({_pack(p): 0}, {_pack(core.identity(n)): 0})
-    frontiers = [list(seen[0]), list(seen[1])]
-    depths = [0, 0]
+    here, there = _LevelTable(len(p), model, p), _table(len(p), model)
     best = math.inf
-    while frontiers[0] and frontiers[1] and best > depths[0] + depths[1]:
-        mine = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        other = seen[1 - mine]
-        depth = depths[mine] + 1
-        # Both sides share the budget.
-        room = None if max_states is None else max_states - len(other)
-        fresh = _expand(frontiers[mine], seen[mine], depth, n, triples, room)
-        frontiers[mine], depths[mine] = fresh, depth
-        if best < math.inf or depth + depths[1 - mine] >= lower:
-            for child in fresh:
-                if child in other:
-                    best = min(best, depth + other[child])
+    while here.frontier and there.frontier and best > here.depth + there.depth:
+        mine, other = (here, there) if len(here.frontier) <= len(there.frontier) else (there, here)
+        # Both sides share the budget; the cached identity table is one side.
+        mine.grow(None if max_states is None else max_states - len(other.dist))
+        if best < math.inf or here.depth + there.depth >= lower:
+            for child in mine.frontier:
+                if child in other.dist:
+                    best = min(best, mine.depth + other.dist[child])
     if best is math.inf:
         raise RuntimeError(f"search exhausted without reaching the identity from {p!r}")
     _bidi_memo[key] = int(best)
@@ -228,16 +223,13 @@ def distance(
     if n > _PACK_MAX:
         raise BudgetError(f"distance queries support length <= {_PACK_MAX}")
     code = _pack(p)
-    cached = _tables.get((n, model))
-    if cached is not None and code in cached.dist:
-        return cached.dist[code]
-    if n <= _FULL_TABLE_MAX:
-        table = _table(n, model)
-        while code not in table.dist:
-            if not table.grow(max_states):
-                raise RuntimeError(f"search exhausted without reaching {p!r}")
-        return table.dist[code]
-    return _bidirectional(p, model, max_states)
+    table = _table(n, model)
+    if n > _FULL_TABLE_MAX and code not in table.dist:
+        return _bidirectional(p, model, max_states)
+    while code not in table.dist:
+        if not table.grow(max_states):
+            raise RuntimeError(f"search exhausted without reaching {p!r}")
+    return table.dist[code]
 
 
 def pairwise_distance(
@@ -275,12 +267,9 @@ def ball(
     if n == 0:
         return ((),)
     table = _table(n, model)
-    while len(table.levels) - 1 < k and table.grow(max_states):
+    while table.depth < k and table.grow(max_states):
         pass
-    top = min(k, len(table.levels) - 1)
-    return core.perm_set(
-        _unpack(code, n) for level in table.levels[: top + 1] for code in level
-    )
+    return core.perm_set(_unpack(code, n) for code, d in table.dist.items() if d <= k)
 
 
 def ball_set(

@@ -11,8 +11,10 @@ other exception from a check propagates.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
@@ -148,7 +150,7 @@ def _check_worked_examples(golden, max_states, k, max_n):
     if genset.td_inflate(base, indices) != (inflated, broken):
         return False, "strip-break construction example"
     for p, model, expected in distances:
-        if models.distance(p, model) != expected:
+        if models.distance(p, model, max_states=max_states) != expected:
             return False, f"distance of {core.format_perm(p)} under {model.value}"
     return True, "reduction, inflation, strip-break and distance examples"
 
@@ -158,16 +160,17 @@ def _check_breakpoint_bound(golden, max_states, k, max_n):
     for n in range(1, top + 1):
         for p in all_perms(n):
             bound = -(-core.breakpoint_count(p) // 3)
-            if models.distance(p, Model.BLOCK) < bound:
+            if models.distance(p, Model.BLOCK, max_states=max_states) < bound:
                 return False, f"violated at {core.format_perm(p)}"
     return True, f"exhaustive for n <= {top}"
 
 
 def _check_reduction_invariance(golden, max_states, k, max_n):
     top = min(max_n, 7)
+    td = partial(models.distance, model=Model.BLOCK, max_states=max_states)
     for n in range(1, top + 1):
         for p in all_perms(n):
-            if models.distance(p, Model.BLOCK) != models.distance(core.reduce(p), Model.BLOCK):
+            if td(p) != td(core.reduce(p)):
                 return False, f"violated at {core.format_perm(p)}"
     return True, f"exhaustive for n <= {top}"
 
@@ -176,9 +179,10 @@ def _check_ptd_reduction_empirical(golden, max_states, k, max_n):
     # Not a promised identity: a failure here is an observation about the
     # model, not an engine bug, and is reported as such.
     top = min(max_n, 6)
+    ptd = partial(models.distance, model=Model.PREFIX, max_states=max_states)
     for n in range(1, top + 1):
         for p in all_perms(n):
-            if models.distance(p, Model.PREFIX) != models.distance(core.reduce(p), Model.PREFIX):
+            if ptd(p) != ptd(core.reduce(p)):
                 return (
                     False,
                     f"empirical observation only: first counterexample {core.format_perm(p)}"
@@ -189,9 +193,10 @@ def _check_ptd_reduction_empirical(golden, max_states, k, max_n):
 
 def _check_model_refinement(golden, max_states, k, max_n):
     top = min(max_n, 6)
+    dist = partial(models.distance, max_states=max_states)
     for n in range(1, top + 1):
         for p in all_perms(n):
-            if models.distance(p, Model.BLOCK) > models.distance(p, Model.PREFIX):
+            if dist(p, Model.BLOCK) > dist(p, Model.PREFIX):
                 return False, f"violated at {core.format_perm(p)}"
     return True, f"td <= ptd for n <= {top}"
 
@@ -201,17 +206,15 @@ def _check_left_invariance(model: Model):
         def compose(f: Perm, g: Perm) -> Perm:
             return tuple(f[x - 1] for x in g)
 
+        between = partial(models.pairwise_distance, model=model, max_states=max_states)
         for sigma in all_perms(4):
             for p in all_perms(4):
-                base = models.pairwise_distance(p, (1, 2, 3, 4), model)
-                if models.pairwise_distance(compose(sigma, p), sigma, model) != base:
+                if between(compose(sigma, p), sigma) != between(p, (1, 2, 3, 4)):
                     return False, f"violated at sigma={sigma}, p={p}"
         rng = random.Random(20180521)
         fives = [tuple(rng.sample(range(1, 6), 5)) for _ in range(40)]
         for sigma, p, q in zip(fives[::3], fives[1::3], fives[2::3]):
-            if models.pairwise_distance(compose(sigma, p), compose(sigma, q), model) != (
-                models.pairwise_distance(p, q, model)
-            ):
+            if between(compose(sigma, p), compose(sigma, q)) != between(p, q):
                 return False, f"violated at sigma={sigma}, p={p}, q={q}"
         return True, "exhaustive on S_4, sampled on S_5"
 
@@ -280,6 +283,7 @@ def _check_ptd_parents(golden, max_states, k, max_n):
 
 def _check_transposition_inverse(golden, max_states, k, max_n):
     top = min(max_n, 6)
+    core.check_budget(math.factorial(top), max_states)
     for n in range(2, top + 1):
         for p in all_perms(n):
             for t in models.transposition_triples(n, Model.BLOCK):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from permball import cli
+from permball import cli, models
 from permball.core import parse_perm
 
 
@@ -120,9 +120,13 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["distance", "--model", "bogus", "1324"])
-    assert info.value.code == 2
+    for argv in (
+        ["distance", "--model", "bogus", "1324"],
+        ["distance", "--model", "td", "1324", "--max-states", "-1"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
 
 
 def test_budget_exit_codes(capsys):
@@ -211,6 +215,18 @@ def test_verify_skips_when_budget_is_too_small(capsys):
     assert code == 0  # skipped checks are not failures
     checks = {c["name"]: c["status"] for c in payload["result"]["checks"]}
     assert checks["plus-irreducible-counts"] == "SKIPPED"
+
+    # cold caches: an answer already cached is returned without a budget check
+    models._reset_caches()
+    code, payload, _ = run_json(
+        capsys,
+        "verify", "--model", "td", "-k", "1", "--max-n", "7", "--max-states", "10",
+    )
+    assert code == 0
+    checks = {c["name"]: c["status"] for c in payload["result"]["checks"]}
+    for name in ("left-invariance-td", "breakpoint-bound-td", "reduction-invariance-td",
+                 "transposition-inverse", "worked-examples"):
+        assert checks[name] == "SKIPPED", name
 
 
 def test_verify_json_payload(capsys):

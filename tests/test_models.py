@@ -117,12 +117,18 @@ def test_distance_agrees_with_plain_bfs():
 
 
 def test_bidirectional_engine_agrees_on_longer_inputs():
-    # length 8 exceeds the full-table threshold, exercising the bidirectional path
+    # length 8 exceeds the full-table threshold, exercising the bidirectional
+    # path; its identity side is the cached table, cold or already grown
     rng = random.Random(11)
     for _ in range(12):
         p = tuple(rng.sample(range(1, 9), 8))
         for m in (Model.BLOCK, Model.PREFIX):
-            assert distance(p, m) == bfs_distance(p, m), (p, m)
+            expected = bfs_distance(p, m)
+            for warm in (False, True):
+                models._reset_caches()
+                if warm:
+                    ball(8, 2, m)
+                assert distance(p, m) == expected, (p, m, warm)
 
 
 def test_block_reduction_invariance_exhaustive():
@@ -271,11 +277,11 @@ def test_refused_ball_leaves_the_level_table_unchanged():
     models._reset_caches()
     table = models._table(8, Model.BLOCK)
     ball(8, 2, "td")
-    before = len(table.dist)
+    before, frontier = len(table.dist), list(table.frontier)
     with pytest.raises(BudgetError):
         ball(8, 3, "td", max_states=before + 1000)
     assert len(table.dist) == before
-    assert sum(map(len, table.levels)) == before
+    assert (table.depth, table.frontier) == (2, frontier)
     retry = ball(8, 3, "td")
     models._reset_caches()
     assert retry == ball(8, 3, "td")
@@ -291,11 +297,25 @@ def test_refused_bidirectional_search_is_not_memoized():
     assert models._bidirectional(p, Model.BLOCK, max_states=None) == 5
 
 
+def test_refused_bidirectional_search_keeps_whole_identity_levels():
+    # the search from the query refuses at 20,000 states, the identity side
+    # while growing its own second level at 6,000
+    for budget in (6_000, 20_000):
+        models._reset_caches()
+        with pytest.raises(BudgetError):
+            distance(tuple(range(9, 0, -1)), "td", max_states=budget)
+        table = models._tables[(9, Model.BLOCK)]
+        states, depth = len(table.dist), table.depth
+        assert depth > 0
+        models._reset_caches()
+        assert states == len(ball(9, depth, "td", max_states=None)), budget
+
+
 def test_budget_refuses_during_expansion(monkeypatch):
     models._reset_caches()
     table = models._table(10, Model.BLOCK)
     ball(10, 2, "td")
-    full_level = len(table.levels[-1]) * len(list(transposition_triples(10, "td")))
+    full_level = len(table.frontier) * len(list(transposition_triples(10, "td")))
     children = 0
 
     def counting(p, t):
