@@ -311,19 +311,68 @@ def test_refused_bidirectional_search_keeps_whole_identity_levels():
         assert states == len(ball(9, depth, "td", max_states=None)), budget
 
 
-def test_budget_refuses_during_expansion(monkeypatch):
+def test_budget_refuses_during_expansion():
     models._reset_caches()
     table = models._table(10, Model.BLOCK)
     ball(10, 2, "td")
-    full_level = len(table.frontier) * len(list(transposition_triples(10, "td")))
-    children = 0
+    full_level = len(table.frontier)
+    expanded = 0
 
-    def counting(p, t):
-        nonlocal children
-        children += 1
-        return apply_transposition(p, t)
+    class CountingMasks(list):
+        # _expand walks the whole mask list once per expanded state
+        def __iter__(self):
+            nonlocal expanded
+            expanded += 1
+            return super().__iter__()
 
-    monkeypatch.setattr(models, "apply_transposition", counting)
+    table._masks = CountingMasks(table._masks)
     with pytest.raises(BudgetError):
         ball(10, 3, "td", max_states=50_000)
-    assert 0 < children < full_level
+    assert 0 < expanded < full_level
+
+
+def test_bidirectional_budget_counts_only_added_states():
+    # the identity table cached by the ball holds 56,917 states, more than the
+    # budget, yet the query must be answered as it is from cold caches
+    p = (2, 1, 4, 3, 6, 5, 8, 7, 9)
+    for warm in (False, True):
+        models._reset_caches()
+        if warm:
+            ball(9, 3, "td")
+        assert distance(p, "td", max_states=50_000) == 4, warm
+
+
+# --- bit-mask child generation ---------------------------------------------------
+
+
+def test_mask_children_match_the_tuple_operation():
+    rng = random.Random(3)
+    for n in range(1, 17):
+        for m in (Model.BLOCK, Model.PREFIX):
+            masks = models._LevelTable(n, m)._masks
+            triples = list(transposition_triples(n, m))
+            assert len(masks) == len(triples)
+            for _ in range(3):
+                p = tuple(rng.sample(range(1, n + 1), n))
+                code = models._pack(p)
+                for mask, t in zip(masks, triples):
+                    child = models._expand([code], {}, 1, n, [mask], None)
+                    assert child == [models._pack(apply_transposition(p, t))], (p, t)
+
+
+def test_full_s7_tables_match_a_plain_tuple_bfs():
+    for m in (Model.BLOCK, Model.PREFIX):
+        expected, frontier = {identity(7): 0}, [identity(7)]
+        while frontier:
+            fresh = []
+            for r in frontier:
+                for t in transposition_triples(7, m):
+                    q = apply_transposition(r, t)
+                    if q not in expected:
+                        expected[q] = expected[r] + 1
+                        fresh.append(q)
+            frontier = fresh
+        table = models._LevelTable(7, m)
+        while table.grow():
+            pass
+        assert {models._unpack(c, 7): d for c, d in table.dist.items()} == expected
