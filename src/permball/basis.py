@@ -64,8 +64,6 @@ def basis(
     ``max_states`` permutations.
     """
     model = Model.coerce(model)
-    if k < 1:
-        raise ValueError("k must be at least 1")
     bound = element_length(k, model)
     core.check_budget(math.factorial(bound + 1 if probe_extra else bound), max_states)
     elements: list[Perm] = []
@@ -97,8 +95,6 @@ def basis_via_poset_descent(
     in the distance engine or the pattern machinery.
     """
     model = Model.coerce(model)
-    if k < 1:
-        raise ValueError("k must be at least 1")
     bound = element_length(k, model)
     core.check_budget(math.factorial(bound), max_states)
     inside = ball_set(bound, k, model, max_states=max_states)

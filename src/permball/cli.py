@@ -148,6 +148,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         return result, EXIT_OK
 
     if args.command == "count-irreducible":
+        core.check_budget(args.n * args.n, max_states)  # the recurrence's cost is about n^2
         count = 1 if args.n == 0 else core.plus_irreducible_count(args.n - 1)
         return {"n": args.n, "count": count}, EXIT_OK
 
@@ -170,56 +171,55 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     raise ValueError(f"unknown command {args.command!r}")
 
 
-def _emit_text(envelope: dict[str, Any]) -> None:
-    print(f"command: {envelope['command']}")
+def _format_text(envelope: dict[str, Any]) -> str:
+    lines = [f"command: {envelope['command']}"]
     if envelope["model"] is not None:
-        print(f"model: {envelope['model']}")
-    for key, value in envelope["parameters"].items():
-        print(f"{key}: {value}")
+        lines.append(f"model: {envelope['model']}")
+    lines += [f"{key}: {value}" for key, value in envelope["parameters"].items()]
     result = envelope["result"]
     if "checks" in result:
         for check in result["checks"]:
-            print(f"{check['status']:<7}  {check['name']}  [{check['detail']}]")
-        print(f"all_passed: {result['all_passed']}")
+            lines.append(f"{check['status']:<7}  {check['name']}  [{check['detail']}]")
+        lines.append(f"all_passed: {result['all_passed']}")
     else:
         for key, value in result.items():
             if isinstance(value, list):
-                print(f"{key}:")
-                for item in value:
-                    print(f"  {item}")
+                lines.append(f"{key}:")
+                lines += [f"  {item}" for item in value]
             else:
-                print(f"{key}: {value}")
-    print(f"elapsed_seconds: {envelope['elapsed_seconds']:.3f}")
+                lines.append(f"{key}: {value}")
+    lines.append(f"elapsed_seconds: {envelope['elapsed_seconds']:.3f}")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    # The envelope is rendered inside the try as well: rendering can fail too,
+    # e.g. on an integer too long for str().
     try:
         result, code = _run_command(args)
+        envelope = {
+            "command": args.command,
+            "model": getattr(args, "model", None),
+            "parameters": {
+                key: getattr(args, attr)
+                for key, attr in (("k", "k"), ("n", "n"), ("method", "method"),
+                                  ("max_n", "max_n"), ("perm", "perm"))
+                if hasattr(args, attr)
+            },
+            "result": result,
+            "elapsed_seconds": time.perf_counter() - started,
+        }
+        text = json.dumps(envelope, indent=2) if args.format == "json" else _format_text(envelope)
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    envelope = {
-        "command": args.command,
-        "model": getattr(args, "model", None),
-        "parameters": {
-            key: getattr(args, attr)
-            for key, attr in (("k", "k"), ("n", "n"), ("method", "method"),
-                              ("max_n", "max_n"), ("perm", "perm"))
-            if hasattr(args, attr)
-        },
-        "result": result,
-        "elapsed_seconds": time.perf_counter() - started,
-    }
-    if args.format == "json":
-        print(json.dumps(envelope, indent=2))
-    else:
-        _emit_text(envelope)
+    print(text)
     return code
 
 

@@ -227,6 +227,8 @@ def element_length(k: int, model: Model | str) -> int:
     """Length of the generating permutations of B_k, 3k+1 (block model) or
     2k+1 (prefix model); it also bounds the length of the basis elements."""
     model = Model.coerce(model)
+    if k < 1:
+        raise ValueError("k must be at least 1")
     return (3 if model is Model.BLOCK else 2) * k + 1
 
 
@@ -241,8 +243,7 @@ def generating_set_constructive(
     The budget caps each generation and is checked after each parent.
     """
     model = Model.coerce(model)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    target = element_length(k, model)
     current: set[Perm] = {(1,)}
     for _ in range(k):
         grown: set[Perm] = set()
@@ -260,7 +261,7 @@ def generating_set_constructive(
         model=model,
         method="constructive",
         elements=core.perm_set(current),
-        element_length=element_length(k, model),
+        element_length=target,
     )
 
 
@@ -270,8 +271,6 @@ def generating_set_direct(
     """Filter the members of ball k at the target length down to the plus
     irreducible ones at distance exactly k (outside ball k-1)."""
     model = Model.coerce(model)
-    if k < 1:
-        raise ValueError("k must be at least 1")
     target = element_length(k, model)
     closer = models.ball_set(target, k - 1, model, max_states=max_states)
     elements = tuple(
@@ -302,7 +301,8 @@ def generating_set(
 def mi_union_member(p: Perm, report: GeneratingSetReport) -> bool:
     """True when ``p`` is a monotone inflation of some generating permutation,
     i.e. when ``p`` lies in the ball the report describes."""
-    return any(core.mi_member(p, g) for g in report.elements)
+    q = core.reduce(p)
+    return any(core.contains_pattern(g, q) for g in report.elements)
 
 
 def mi_plus_one(

@@ -281,7 +281,8 @@ def ball(
     table = _table(n, model)
     while table.depth < k and table.grow(max_states):
         pass
-    return core.perm_set(_unpack(code, n) for code, d in table.dist.items() if d <= k)
+    # the table's codes are distinct, so sorting alone gives the canonical order
+    return tuple(sorted(_unpack(code, n) for code, d in table.dist.items() if d <= k))
 
 
 def ball_set(

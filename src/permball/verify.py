@@ -14,7 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
@@ -76,58 +76,56 @@ def _examples(w: dict) -> tuple:
 
 
 # --- individual checks ------------------------------------------------------
-# Every check takes (golden, max_states, k, max_n) and returns (ok, detail);
-# ``max_states`` is the state budget, forwarded unchanged.
+# Every check is a plain function whose own parameters (model, radius j, top
+# length) come first; _registry binds them, leaving the one call shape
+# fn(golden, max_states) -> (ok, detail). ``max_states`` is the state budget,
+# forwarded unchanged.
 
 
-def _check_genset_golden(model: Model, j: int):
-    def run(golden, max_states, k, max_n):
-        expected = _golden(golden, _perms, "generating_sets", model.value, str(j))
-        direct = genset.generating_set_direct(j, model, max_states=max_states).elements
-        constructive = genset.generating_set_constructive(j, model, max_states=max_states).elements
-        ok = direct == expected and constructive == expected
-        return ok, f"{len(expected)} elements, both methods"
-
-    return run
+def _sweep(top: int, bad: Callable[[Perm], bool]) -> Perm | None:
+    """The first permutation of length 1..top for which ``bad`` holds, or None."""
+    return next((p for n in range(1, top + 1) for p in all_perms(n) if bad(p)), None)
 
 
-def _check_genset_cardinality(j: int):
-    def run(golden, max_states, k, max_n):
-        expected = _golden(golden, int, "generating_set_cardinalities", "ptd", str(j))
-        direct = genset.generating_set_direct(j, Model.PREFIX, max_states=max_states).elements
-        constructive = genset.generating_set_constructive(
-            j, Model.PREFIX, max_states=max_states
-        ).elements
-        ok = len(direct) == expected and direct == constructive
-        return ok, f"cardinality {len(direct)} (expected {expected}), methods agree"
-
-    return run
+def _swept(top: int, bad: Callable[[Perm], bool], ok: str, fail: str = "violated at {}"):
+    """``_sweep`` as a check result; the ``fail`` detail names the first bad permutation."""
+    p = _sweep(top, bad)
+    return (True, ok) if p is None else (False, fail.format(core.format_perm(p)))
 
 
-def _check_basis_golden(model: Model, j: int):
-    def run(golden, max_states, k, max_n):
-        expected = _golden(golden, _perms, "bases", model.value, str(j))
-        primary = compute_basis(j, model, max_states=max_states).elements
-        descent = basis_via_poset_descent(j, model, max_states=max_states).elements
-        ok = primary == expected and descent == expected
-        return ok, f"{len(expected)} elements, both methods"
-
-    return run
+def _check_genset_golden(model: Model, j: int, golden, max_states):
+    expected = _golden(golden, _perms, "generating_sets", model.value, str(j))
+    direct = genset.generating_set_direct(j, model, max_states=max_states).elements
+    constructive = genset.generating_set_constructive(j, model, max_states=max_states).elements
+    ok = direct == expected and constructive == expected
+    return ok, f"{len(expected)} elements, both methods"
 
 
-def _check_basis_probe(model: Model, j: int):
-    def run(golden, max_states, k, max_n):
-        report = compute_basis(j, model, probe_extra=True, max_states=max_states)
-        assert report.probe is not None
-        ok = report.probe.elements == ()
-        return ok, f"nothing at length {report.probe.length}"
-
-    return run
+def _check_genset_cardinality(j: int, golden, max_states):
+    expected = _golden(golden, int, "generating_set_cardinalities", "ptd", str(j))
+    direct = genset.generating_set_direct(j, Model.PREFIX, max_states=max_states).elements
+    constructive = genset.generating_set_constructive(j, Model.PREFIX, max_states=max_states)
+    ok = len(direct) == expected and direct == constructive.elements
+    return ok, f"cardinality {len(direct)} (expected {expected}), methods agree"
 
 
-def _check_counts(golden, max_states, k, max_n):
+def _check_basis_golden(model: Model, j: int, golden, max_states):
+    expected = _golden(golden, _perms, "bases", model.value, str(j))
+    primary = compute_basis(j, model, max_states=max_states).elements
+    descent = basis_via_poset_descent(j, model, max_states=max_states).elements
+    ok = primary == expected and descent == expected
+    return ok, f"{len(expected)} elements, both methods"
+
+
+def _check_basis_probe(model: Model, j: int, golden, max_states):
+    report = compute_basis(j, model, probe_extra=True, max_states=max_states)
+    assert report.probe is not None
+    ok = report.probe.elements == ()
+    return ok, f"nothing at length {report.probe.length}"
+
+
+def _check_counts(enum_top: int, golden, max_states):
     expected = _golden(golden, _counts, "plus_irreducible_counts_by_length")
-    enum_top = min(max(max_n + 1, 7), 8)
     for length, value in expected.items():
         if core.plus_irreducible_count(length - 1) != value:
             return False, f"recurrence disagrees at length {length}"
@@ -138,7 +136,7 @@ def _check_counts(golden, max_states, k, max_n):
     return True, f"lengths 1..8 by recurrence, 1..{enum_top} by enumeration"
 
 
-def _check_worked_examples(golden, max_states, k, max_n):
+def _check_worked_examples(golden, max_states):
     reduction, inflation, strip_break, distances = _golden(golden, _examples, "worked_examples")
     source, reduced = reduction
     if core.reduce(source) != reduced:
@@ -155,106 +153,79 @@ def _check_worked_examples(golden, max_states, k, max_n):
     return True, "reduction, inflation, strip-break and distance examples"
 
 
-def _check_breakpoint_bound(golden, max_states, k, max_n):
-    top = min(max_n, 7)
-    for n in range(1, top + 1):
-        for p in all_perms(n):
-            bound = -(-core.breakpoint_count(p) // 3)
-            if models.distance(p, Model.BLOCK, max_states=max_states) < bound:
-                return False, f"violated at {core.format_perm(p)}"
-    return True, f"exhaustive for n <= {top}"
-
-
-def _check_reduction_invariance(golden, max_states, k, max_n):
-    top = min(max_n, 7)
+def _check_breakpoint_bound(top: int, golden, max_states):
     td = partial(models.distance, model=Model.BLOCK, max_states=max_states)
-    for n in range(1, top + 1):
-        for p in all_perms(n):
-            if td(p) != td(core.reduce(p)):
-                return False, f"violated at {core.format_perm(p)}"
-    return True, f"exhaustive for n <= {top}"
+    return _swept(
+        top, lambda p: td(p) < -(-core.breakpoint_count(p) // 3), f"exhaustive for n <= {top}"
+    )
 
 
-def _check_ptd_reduction_empirical(golden, max_states, k, max_n):
+def _check_reduction_invariance(top: int, golden, max_states):
+    td = partial(models.distance, model=Model.BLOCK, max_states=max_states)
+    return _swept(top, lambda p: td(p) != td(core.reduce(p)), f"exhaustive for n <= {top}")
+
+
+def _check_ptd_reduction_empirical(top: int, golden, max_states):
     # Not a promised identity: a failure here is an observation about the
     # model, not an engine bug, and is reported as such.
-    top = min(max_n, 6)
     ptd = partial(models.distance, model=Model.PREFIX, max_states=max_states)
-    for n in range(1, top + 1):
-        for p in all_perms(n):
-            if ptd(p) != ptd(core.reduce(p)):
-                return (
-                    False,
-                    f"empirical observation only: first counterexample {core.format_perm(p)}"
-                    " (this diagnoses the model, not the engine)",
-                )
-    return True, f"holds empirically for n <= {top} (no guarantee implied)"
+    return _swept(
+        top,
+        lambda p: ptd(p) != ptd(core.reduce(p)),
+        f"holds empirically for n <= {top} (no guarantee implied)",
+        "empirical observation only: first counterexample {}"
+        " (this diagnoses the model, not the engine)",
+    )
 
 
-def _check_model_refinement(golden, max_states, k, max_n):
-    top = min(max_n, 6)
+def _check_model_refinement(top: int, golden, max_states):
     dist = partial(models.distance, max_states=max_states)
+    return _swept(
+        top, lambda p: dist(p, Model.BLOCK) > dist(p, Model.PREFIX), f"td <= ptd for n <= {top}"
+    )
+
+
+def _check_left_invariance(model: Model, golden, max_states):
+    def compose(f: Perm, g: Perm) -> Perm:
+        return tuple(f[x - 1] for x in g)
+
+    between = partial(models.pairwise_distance, model=model, max_states=max_states)
+    for sigma in all_perms(4):
+        for p in all_perms(4):
+            if between(compose(sigma, p), sigma) != between(p, (1, 2, 3, 4)):
+                return False, f"violated at sigma={sigma}, p={p}"
+    rng = random.Random(20180521)
+    fives = [tuple(rng.sample(range(1, 6), 5)) for _ in range(40)]
+    for sigma, p, q in zip(fives[::3], fives[1::3], fives[2::3]):
+        if between(compose(sigma, p), compose(sigma, q)) != between(p, q):
+            return False, f"violated at sigma={sigma}, p={p}, q={q}"
+    return True, "exhaustive on S_4, sampled on S_5"
+
+
+def _check_closure(model: Model, top_k: int, top: int, golden, max_states):
+    for j in range(0, top_k + 1):
+        if not verify_class_closure(j, model, top, max_states=max_states):
+            return False, f"deletion left the ball at k={j}"
     for n in range(1, top + 1):
-        for p in all_perms(n):
-            if dist(p, Model.BLOCK) > dist(p, Model.PREFIX):
-                return False, f"violated at {core.format_perm(p)}"
-    return True, f"td <= ptd for n <= {top}"
+        for j in range(top_k):
+            inner = ball_set(n, j, model, max_states=max_states)
+            if not inner <= ball_set(n, j + 1, model, max_states=max_states):
+                return False, f"nesting failed at n={n}, k={j}"
+    return True, f"deletion closure and nesting for n <= {top}, k <= {top_k}"
 
 
-def _check_left_invariance(model: Model):
-    def run(golden, max_states, k, max_n):
-        def compose(f: Perm, g: Perm) -> Perm:
-            return tuple(f[x - 1] for x in g)
-
-        between = partial(models.pairwise_distance, model=model, max_states=max_states)
-        for sigma in all_perms(4):
-            for p in all_perms(4):
-                if between(compose(sigma, p), sigma) != between(p, (1, 2, 3, 4)):
-                    return False, f"violated at sigma={sigma}, p={p}"
-        rng = random.Random(20180521)
-        fives = [tuple(rng.sample(range(1, 6), 5)) for _ in range(40)]
-        for sigma, p, q in zip(fives[::3], fives[1::3], fives[2::3]):
-            if between(compose(sigma, p), compose(sigma, q)) != between(p, q):
-                return False, f"violated at sigma={sigma}, p={p}, q={q}"
-        return True, "exhaustive on S_4, sampled on S_5"
-
-    return run
+def _check_ball_characterization(model: Model, top_k: int, top: int, golden, max_states):
+    for j in range(1, top_k + 1):
+        report = genset.generating_set_constructive(j, model, max_states=max_states)
+        ball_at = cache(partial(ball_set, k=j, model=model, max_states=max_states))
+        p = _sweep(top, lambda p: genset.mi_union_member(p, report) != (p in ball_at(len(p))))
+        if p is not None:
+            return False, f"mismatch at {core.format_perm(p)}, k={j}"
+    return True, f"inflation-union equals ball for k <= {top_k}, n <= {top}"
 
 
-def _check_closure(model: Model):
-    def run(golden, max_states, k, max_n):
-        top = min(max_n, 6)
-        for j in range(0, min(k, 2) + 1):
-            if not verify_class_closure(j, model, top, max_states=max_states):
-                return False, f"deletion left the ball at k={j}"
-        for n in range(1, top + 1):
-            for j in range(min(k, 2)):
-                inner = ball_set(n, j, model, max_states=max_states)
-                if not inner <= ball_set(n, j + 1, model, max_states=max_states):
-                    return False, f"nesting failed at n={n}, k={j}"
-        return True, f"deletion closure and nesting for n <= {top}, k <= {min(k, 2)}"
-
-    return run
-
-
-def _check_ball_characterization(model: Model):
-    def run(golden, max_states, k, max_n):
-        top = min(max_n, 7 if model is Model.BLOCK else 6)
-        for j in range(1, min(k, 2) + 1):
-            report = genset.generating_set_constructive(j, model, max_states=max_states)
-            for n in range(1, top + 1):
-                in_ball = ball_set(n, j, model, max_states=max_states)
-                for p in all_perms(n):
-                    if genset.mi_union_member(p, report) != (p in in_ball):
-                        return False, f"mismatch at {core.format_perm(p)}, k={j}"
-        return True, f"inflation-union equals ball for k <= {min(k, 2)}, n <= {top}"
-
-    return run
-
-
-def _check_one_step_closure(golden, max_states, k, max_n):
+def _check_one_step_closure(top: int, golden, max_states):
     base = (1, 3, 2, 4)
-    top = min(max_n, 6)
     constructed = genset.mi_plus_one(base, top, max_states=max_states)
     brute: set[Perm] = set()
     for n in range(2, top + 1):
@@ -265,24 +236,22 @@ def _check_one_step_closure(golden, max_states, k, max_n):
     return ok, f"{len(constructed)} permutations up to length {top}, both routes"
 
 
-def _check_ptd_parents(golden, max_states, k, max_n):
-    top = min(max(k, 2), 3)
+def _check_ptd_parents(top_k: int, golden, max_states):
     reports = {
         j: genset.generating_set_constructive(j, Model.PREFIX, max_states=max_states)
-        for j in range(1, top + 1)
+        for j in range(1, top_k + 1)
     }
-    for j in range(2, top + 1):
+    for j in range(2, top_k + 1):
         for child in reports[j].elements:
             parent, case = genset.ptd_parent(child)
             if genset.ptd_inflate(parent, case) != child:
                 return False, f"reconstruction failed for {core.format_perm(child)}"
             if parent not in reports[j - 1].elements:
                 return False, f"parent of {core.format_perm(child)} is not generating"
-    return True, f"unique parents recovered for k = 2..{top}"
+    return True, f"unique parents recovered for k = 2..{top_k}"
 
 
-def _check_transposition_inverse(golden, max_states, k, max_n):
-    top = min(max_n, 6)
+def _check_transposition_inverse(top: int, golden, max_states):
     core.check_budget(math.factorial(top), max_states)
     for n in range(2, top + 1):
         for p in all_perms(n):
@@ -294,58 +263,62 @@ def _check_transposition_inverse(golden, max_states, k, max_n):
     return True, f"exhaustive for n <= {top}"
 
 
-def _check_basis_properties(model: Model):
+def _check_basis_properties(model: Model, top_k: int, golden, max_states):
     # A leading 1 can be removed without changing the block distance, so it
     # never appears in a block-model basis element; under the prefix model a
     # leading 1 is not free (132 is a basis element) and only the trailing
     # maximum is excluded.
-    def run(golden, max_states, k, max_n):
-        for j in range(1, min(k, 2) + 1):
-            report = compute_basis(j, model, max_states=max_states)
-            for e in report.elements:
-                if not core.is_plus_irreducible(e):
-                    return False, f"{core.format_perm(e)} is not plus irreducible"
-                if e[-1] == len(e):
-                    return False, f"{core.format_perm(e)} ends with its maximum"
-                if model is Model.BLOCK and e[0] == 1:
-                    return False, f"{core.format_perm(e)} starts with 1"
-        shape = "no leading 1, " if model is Model.BLOCK else ""
-        return True, f"plus irreducible, {shape}no trailing maximum, k <= {min(k, 2)}"
-
-    return run
+    for j in range(1, top_k + 1):
+        report = compute_basis(j, model, max_states=max_states)
+        for e in report.elements:
+            if not core.is_plus_irreducible(e):
+                return False, f"{core.format_perm(e)} is not plus irreducible"
+            if e[-1] == len(e):
+                return False, f"{core.format_perm(e)} ends with its maximum"
+            if model is Model.BLOCK and e[0] == 1:
+                return False, f"{core.format_perm(e)} starts with 1"
+    shape = "no leading 1, " if model is Model.BLOCK else ""
+    return True, f"plus irreducible, {shape}no trailing maximum, k <= {top_k}"
 
 
-def _registry(model_tags: list[Model], k: int, max_n: int):
+def _registry(model_tags: list[Model], k: int, max_n: int) -> list[tuple[str, Callable]]:
+    """Every check in run order, bound to its model, radius and top length:
+    how far each check reaches is decided here and nowhere else."""
+    top_k, top6, top7 = min(k, 2), min(max_n, 6), min(max_n, 7)
     checks: list[tuple[str, Callable]] = []
     for model in model_tags:
-        tag = model.value
-        for j in (1, 2):
-            if j <= k:
-                checks.append((f"golden-genset-{tag}-k{j}", _check_genset_golden(model, j)))
-        if model is Model.PREFIX and k >= 3:
-            checks.append(("genset-cardinality-ptd-k3", _check_genset_cardinality(3)))
-        golden_ks = {Model.BLOCK: (1,), Model.PREFIX: (1, 2)}[model]
-        for j in golden_ks:
-            if j <= k:
-                checks.append((f"golden-basis-{tag}-k{j}", _check_basis_golden(model, j)))
-        for j in golden_ks:
-            if j <= k:
-                checks.append((f"basis-probe-{tag}-k{j}", _check_basis_probe(model, j)))
-        checks.append((f"left-invariance-{tag}", _check_left_invariance(model)))
-        checks.append((f"ball-closure-{tag}", _check_closure(model)))
-        checks.append((f"ball-characterization-{tag}", _check_ball_characterization(model)))
-        checks.append((f"basis-properties-{tag}", _check_basis_properties(model)))
+        tag, td = model.value, model is Model.BLOCK
+        basis_top = min(k, 1) if td else top_k  # the golden bases: td k=1, ptd k=1,2
+        for j in range(1, top_k + 1):
+            checks.append((f"golden-genset-{tag}-k{j}", partial(_check_genset_golden, model, j)))
+        if not td and k >= 3:
+            checks.append(("genset-cardinality-ptd-k3", partial(_check_genset_cardinality, 3)))
+        for j in range(1, basis_top + 1):
+            checks.append((f"golden-basis-{tag}-k{j}", partial(_check_basis_golden, model, j)))
+        for j in range(1, basis_top + 1):
+            checks.append((f"basis-probe-{tag}-k{j}", partial(_check_basis_probe, model, j)))
+        checks += [
+            (f"left-invariance-{tag}", partial(_check_left_invariance, model)),
+            (f"ball-closure-{tag}", partial(_check_closure, model, top_k, top6)),
+            (f"ball-characterization-{tag}",
+             partial(_check_ball_characterization, model, top_k, top7 if td else top6)),
+            (f"basis-properties-{tag}", partial(_check_basis_properties, model, top_k)),
+        ]
     if Model.BLOCK in model_tags:
-        checks.append(("breakpoint-bound-td", _check_breakpoint_bound))
-        checks.append(("reduction-invariance-td", _check_reduction_invariance))
-        checks.append(("one-step-inflation-closure", _check_one_step_closure))
-        checks.append(("transposition-inverse", _check_transposition_inverse))
+        checks += [
+            ("breakpoint-bound-td", partial(_check_breakpoint_bound, top7)),
+            ("reduction-invariance-td", partial(_check_reduction_invariance, top7)),
+            ("one-step-inflation-closure", partial(_check_one_step_closure, top6)),
+            ("transposition-inverse", partial(_check_transposition_inverse, top6)),
+        ]
     if Model.PREFIX in model_tags:
-        checks.append(("reduction-invariance-ptd-empirical", _check_ptd_reduction_empirical))
-        checks.append(("ptd-parent-uniqueness", _check_ptd_parents))
+        checks += [
+            ("reduction-invariance-ptd-empirical", partial(_check_ptd_reduction_empirical, top6)),
+            ("ptd-parent-uniqueness", partial(_check_ptd_parents, min(max(k, 2), 3))),
+        ]
     if len(model_tags) == 2:
-        checks.append(("model-refinement", _check_model_refinement))
-    checks.append(("plus-irreducible-counts", _check_counts))
+        checks.append(("model-refinement", partial(_check_model_refinement, top6)))
+    checks.append(("plus-irreducible-counts", partial(_check_counts, min(max(max_n + 1, 7), 8))))
     checks.append(("worked-examples", _check_worked_examples))
     return checks
 
@@ -360,7 +333,7 @@ def run_verification(
     results = []
     for name, fn in _registry(model_tags, k, max_n):
         try:
-            ok, detail = fn(golden, max_states, k, max_n)
+            ok, detail = fn(golden, max_states)
             results.append(CheckResult(name, "PASS" if ok else "FAIL", detail))
         except BudgetError as exc:
             results.append(CheckResult(name, "SKIPPED", str(exc)))

@@ -1,6 +1,8 @@
 """Command-line interface: envelopes, formats, exit codes, verify wiring."""
 
 import json
+import sys
+import time
 
 import pytest
 
@@ -144,6 +146,37 @@ def test_budget_exit_codes(capsys):
     assert code == 3
 
 
+def test_count_irreducible_budget_and_long_counts(capsys):
+    # the recurrence costs about n^2, so a large -n is refused before any work
+    started = time.perf_counter()
+    code, _, err = run(capsys, "count-irreducible", "-n", "1000000")
+    assert code == 3
+    assert "refused" in err
+    assert time.perf_counter() - started < 1
+
+    code, payload, _ = run_json(capsys, "count-irreducible", "-n", "7")
+    assert code == 0
+    assert payload["result"]["count"] == 2119
+
+    # a count of about 4,400 digits is past the default int-to-str limit of
+    # CPython; printing it must end as a usage error, not a traceback
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for fmt in ("text", "json"):
+            code, out, err = run(
+                capsys, "count-irreducible", "-n", "1600", "--max-states", "10000000",
+                "--format", fmt,
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # --- verify ----------------------------------------------------------------------
 
 
@@ -227,6 +260,63 @@ def test_verify_skips_when_budget_is_too_small(capsys):
     for name in ("left-invariance-td", "breakpoint-bound-td", "reduction-invariance-td",
                  "transposition-inverse", "worked-examples"):
         assert checks[name] == "SKIPPED", name
+
+
+def test_verify_check_names_and_order():
+    from permball import verify
+    from permball.models import Model
+
+    # run_verification runs exactly the checks of _registry, in its order
+    both = verify._registry([Model.BLOCK, Model.PREFIX], 3, 7)
+    assert [name for name, _ in both] == [
+        "golden-genset-td-k1", "golden-genset-td-k2", "golden-basis-td-k1",
+        "basis-probe-td-k1", "left-invariance-td", "ball-closure-td",
+        "ball-characterization-td", "basis-properties-td",
+        "golden-genset-ptd-k1", "golden-genset-ptd-k2", "genset-cardinality-ptd-k3",
+        "golden-basis-ptd-k1", "golden-basis-ptd-k2", "basis-probe-ptd-k1",
+        "basis-probe-ptd-k2", "left-invariance-ptd", "ball-closure-ptd",
+        "ball-characterization-ptd", "basis-properties-ptd",
+        "breakpoint-bound-td", "reduction-invariance-td", "one-step-inflation-closure",
+        "transposition-inverse", "reduction-invariance-ptd-empirical",
+        "ptd-parent-uniqueness", "model-refinement", "plus-irreducible-counts",
+        "worked-examples",
+    ]
+    td_only = verify._registry([Model.BLOCK], 1, 4)
+    assert [name for name, _ in td_only] == [
+        "golden-genset-td-k1", "golden-basis-td-k1", "basis-probe-td-k1",
+        "left-invariance-td", "ball-closure-td", "ball-characterization-td",
+        "basis-properties-td", "breakpoint-bound-td", "reduction-invariance-td",
+        "one-step-inflation-closure", "transposition-inverse", "plus-irreducible-counts",
+        "worked-examples",
+    ]
+
+
+@pytest.mark.parametrize("broken, failing", [
+    ("td", ("breakpoint-bound-td", "reduction-invariance-td")),
+    ("ptd", ("reduction-invariance-ptd-empirical", "model-refinement")),
+])
+def test_verify_sweeps_name_the_permutation_they_fail_on(monkeypatch, broken, failing):
+    # a distance of 0 for 231 (true distance 1 in both models, reduction 21)
+    # breaks the breakpoint bound and reduction invariance of its model, and
+    # under ptd also the refinement td <= ptd
+    from permball import verify
+    from permball.models import Model
+
+    real = models.distance
+
+    def wrong(p, model, **kwargs):
+        if p == (2, 3, 1) and Model.coerce(model) is Model(broken):
+            return 0
+        return real(p, model, **kwargs)
+
+    monkeypatch.setattr(models, "distance", wrong)
+    results = verify.run_verification(
+        [Model.BLOCK, Model.PREFIX], 1, 4, verify.load_golden(), max_states=None
+    )
+    checks = {r.name: r for r in results}
+    for name in failing:
+        assert checks[name].status == "FAIL", name
+        assert "231" in checks[name].detail, name
 
 
 def test_verify_json_payload(capsys):
