@@ -5,12 +5,19 @@ permutation belongs to it exactly when it avoids every basis element, and
 minimality can be tested through deletions alone. The basis elements have
 length at most 3k+1 (block model) or 2k+1 (prefix model); an optional probe
 one length above the bound confirms emptiness there.
+
+Two independent routes compute the basis: ``basis`` extends the ball members
+of each length n - 1 by one point, and ``basis_via_poset_descent`` scans
+every permutation of the bound length and descends through deletions. Both
+refuse up front by the n! size of the longest length they cover, which
+bounds the extension route's |B_k ∩ S_{n-1}|·n candidates from above.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import core
 from .core import DEFAULT_MAX_STATES, Perm
@@ -36,15 +43,24 @@ class BasisReport:
 
 
 def _minimal_nonmembers_at(n: int, k: int, model: Model, max_states: int | None) -> list[Perm]:
-    """Basis elements of length n: outside the ball, with every deletion inside."""
+    """Basis elements of length n: outside the ball, with every deletion inside.
+
+    Deleting the last entry of such an element leaves a ball member of
+    length n - 1, so the candidates are the one-point extensions of those
+    members by a new last entry v; each permutation arises from exactly one
+    pair (member, v).
+    """
     inside = ball_set(n, k, model, max_states=max_states)
-    inside_shorter = ball_set(n - 1, k, model, max_states=max_states)
+    shorter = ball(n - 1, k, model, max_states=max_states)
+    inside_shorter = frozenset(shorter)
     found = []
-    for p in core.all_perms(n):
-        if p in inside:
-            continue
-        if all(q in inside_shorter for q in core.one_point_deletions(p)):
-            found.append(p)
+    for q in shorter:
+        for v in range(1, n + 1):
+            p = tuple(x + (x >= v) for x in q) + (v,)
+            if p in inside:
+                continue
+            if all(d in inside_shorter for d in core.one_point_deletions(p)):
+                found.append(p)
     return found
 
 
@@ -55,13 +71,15 @@ def basis(
     *,
     max_states: int | None = DEFAULT_MAX_STATES,
 ) -> BasisReport:
-    """Compute the basis of B_k by exhaustive filtering up to the length bound.
+    """Compute the basis of B_k by one-point extension up to the length bound.
 
-    For each length from 2 to the bound, keep the permutations outside the
-    ball whose one-point deletions all lie inside it. With ``probe_extra``
-    the scan also covers one length above the bound and records the (expected
-    empty) findings. Refuses up front when the longest scan exceeds
-    ``max_states`` permutations.
+    For each length n from 2 to the bound, the candidates are the ball
+    members of length n - 1 extended by a new last entry; keep those outside
+    the ball whose one-point deletions all lie inside it. With
+    ``probe_extra`` the scan also covers one length above the bound and
+    records the (expected empty) findings. Refuses up front when n! at the
+    longest length exceeds ``max_states``: an over-estimate of the
+    candidates, kept so that the budget means the same for both routes.
     """
     model = Model.coerce(model)
     bound = element_length(k, model)
@@ -98,7 +116,7 @@ def basis_via_poset_descent(
     bound = element_length(k, model)
     core.check_budget(math.factorial(bound), max_states)
     inside = ball_set(bound, k, model, max_states=max_states)
-    frontier = {p for p in core.all_perms(bound) if p not in inside}
+    frontier: Iterable[Perm] = (p for p in core.all_perms(bound) if p not in inside)
     found: set[Perm] = set()
     for n in range(bound, 1, -1):
         inside_shorter = ball_set(n - 1, k, model, max_states=max_states)

@@ -182,18 +182,32 @@ def contains_pattern(text: Perm, patt: Perm) -> bool:
     return extend(0)
 
 
+_BYTES = bytes(range(256))
+#: ``_RESCALE[v]`` is a bytes.translate table that moves every byte above v
+#: one down: the relabelling after the entry v is deleted.
+_RESCALE = [_BYTES[: v + 1] + _BYTES[v:255] for v in range(256)]
+
+
 def one_point_deletions(p: Perm) -> tuple[Perm, ...]:
     """All distinct permutations obtained by deleting one entry and rescaling.
+
+    Permutations of length <= 255 are rescaled as bytes, whose sort order
+    matches the tuples'; longer ones take the plain tuple route.
 
     >>> one_point_deletions((1, 3, 2, 4))
     ((1, 2, 3), (1, 3, 2), (2, 1, 3))
     """
     if not p:
         raise ValueError("cannot delete from the empty permutation")
-    out = set()
-    for i, removed in enumerate(p):
-        out.add(tuple(x - (x > removed) for j, x in enumerate(p) if j != i))
-    return tuple(sorted(out))
+    if len(p) > 255:
+        return tuple(sorted({
+            tuple(x - (x > removed) for j, x in enumerate(p) if j != i)
+            for i, removed in enumerate(p)
+        }))
+    b = bytes(p)
+    return tuple(map(tuple, sorted({
+        (b[:i] + b[i + 1 :]).translate(_RESCALE[v]) for i, v in enumerate(b)
+    })))
 
 
 def monotone_inflate(p: Perm, v: Iterable[int]) -> Perm:

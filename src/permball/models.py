@@ -99,8 +99,13 @@ def _pack(p: Perm) -> int:
     return code
 
 
+#: Maps the hex digits of a packed code back to entries 1..16.
+_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(1, 17)))
+
+
 def _unpack(code: int, n: int) -> Perm:
-    return tuple(((code >> (4 * i)) & 0xF) + 1 for i in range(n))
+    # the hex string lists the nibbles from the last entry to the first
+    return tuple(format(code, "x").zfill(n).encode()[::-1].translate(_HEX))
 
 
 def _expand(
@@ -260,6 +265,24 @@ def pairwise_distance(
     return distance(relabeled, model, max_states=max_states)
 
 
+def _members(n: int, k: int, model: Model | str, max_states: int | None) -> list[Perm]:
+    """The distinct members of the ball, unordered, read off the level table
+    after growing it to depth k."""
+    model = Model.coerce(model)
+    if n < 0:
+        raise ValueError("negative length")
+    if k < 0:
+        raise ValueError("negative radius")
+    if n > _PACK_MAX:
+        raise BudgetError(f"ball construction supports length <= {_PACK_MAX}")
+    if n == 0:
+        return [()]
+    table = _table(n, model)
+    while table.depth < k and table.grow(max_states):
+        pass
+    return [_unpack(code, n) for code, d in table.dist.items() if d <= k]
+
+
 def ball(
     n: int,
     k: int,
@@ -269,24 +292,12 @@ def ball(
 ) -> tuple[Perm, ...]:
     """All permutations of length ``n`` at distance <= k from the identity,
     via k-level breadth-first expansion from the identity."""
-    model = Model.coerce(model)
-    if n < 0:
-        raise ValueError("negative length")
-    if k < 0:
-        raise ValueError("negative radius")
-    if n > _PACK_MAX:
-        raise BudgetError(f"ball construction supports length <= {_PACK_MAX}")
-    if n == 0:
-        return ((),)
-    table = _table(n, model)
-    while table.depth < k and table.grow(max_states):
-        pass
     # the table's codes are distinct, so sorting alone gives the canonical order
-    return tuple(sorted(_unpack(code, n) for code, d in table.dist.items() if d <= k))
+    return tuple(sorted(_members(n, k, model, max_states)))
 
 
 def ball_set(
     n: int, k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> frozenset[Perm]:
     """The members of ``ball(n, k, model)`` as a set, for membership tests."""
-    return frozenset(ball(n, k, model, max_states=max_states))
+    return frozenset(_members(n, k, model, max_states))

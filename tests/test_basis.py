@@ -124,3 +124,38 @@ def test_basis_caps():
         basis(2, "td", max_states=50)
     with pytest.raises(ValueError):
         basis(0, "td")
+
+
+def test_basis_extends_shorter_ball_members_without_scanning(monkeypatch):
+    td_k2 = basis_via_poset_descent(2, "td").elements
+
+    def no_scan(n):
+        raise AssertionError(f"scanned S_{n}")
+
+    monkeypatch.setattr(core, "all_perms", no_scan)
+    assert basis(2, "td").elements == td_k2
+    report = basis(2, "ptd", probe_extra=True)
+    assert report.elements == PTD_K2
+    assert report.probe.elements == ()
+
+
+def test_routes_agree_on_ptd_k3():
+    elements = basis(3, "ptd").elements
+    assert len(elements) == 188
+    assert elements == basis_via_poset_descent(3, "ptd").elements
+
+
+def test_bases_are_closed_under_the_model_symmetries():
+    # Inverting a permutation inverts its sequence of operations. Reverse-
+    # complement conjugates by the reversal, which maps block transpositions
+    # to block transpositions but prefix ones to suffix ones, so the prefix
+    # model has only the first symmetry.
+    def reverse_complement(p):
+        return tuple(len(p) + 1 - x for x in reversed(p))
+
+    cases = [(Model.BLOCK, k, (core.invert, reverse_complement)) for k in (1, 2)]
+    cases += [(Model.PREFIX, k, (core.invert,)) for k in (1, 2, 3)]
+    for model, k, symmetries in cases:
+        elements = set(basis(k, model).elements)
+        for f in symmetries:
+            assert {f(e) for e in elements} == elements, (model, k, f)

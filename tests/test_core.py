@@ -193,6 +193,24 @@ def test_deletions_are_patterns():
             assert contains_pattern(p, q)
 
 
+def deletions_reference(p):
+    """Oracle: delete each entry of the tuple and rescale the rest."""
+    return tuple(
+        sorted({tuple(x - (x > removed) for j, x in enumerate(p) if j != i)
+                for i, removed in enumerate(p)})
+    )
+
+
+def test_deletions_match_the_tuple_reference():
+    rng = random.Random(8)
+    samples = [p for p in all_perms_up_to(7) if p]
+    samples += [tuple(rng.sample(range(1, n + 1), n)) for n in range(8, 17) for _ in range(20)]
+    # longer than 255 entries: no longer fits one byte per entry
+    samples.append(tuple(rng.sample(range(1, 301), 300)))
+    for p in samples:
+        assert one_point_deletions(p) == deletions_reference(p), p
+
+
 # --- inflation ------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from permball.models import (
     Model,
     apply_transposition,
     ball,
+    ball_set,
     distance,
     neighbors,
     pairwise_distance,
@@ -268,6 +269,25 @@ def test_ball_caps():
         ball(9, 1, "td", max_states=3)
     with pytest.raises(ValueError):
         ball(4, -1, "td")
+
+
+def test_ball_set_matches_ball():
+    for m in ("td", "ptd"):
+        for n in range(8):
+            for k in range(4):
+                assert ball_set(n, k, m) == frozenset(ball(n, k, m)), (m, n, k)
+    for bad, error in (((-1, 1), ValueError), ((4, -1), ValueError), ((17, 1), BudgetError)):
+        for f in (ball, ball_set):
+            with pytest.raises(error):
+                f(*bad, "td")
+
+
+def test_unpack_inverts_pack():
+    rng = random.Random(16)
+    for n in range(1, 17):
+        # the reversal of length 16 puts 16, nibble 0xF, in the top nibble
+        for p in (identity(n), tuple(range(n, 0, -1)), tuple(rng.sample(range(1, n + 1), n))):
+            assert models._unpack(models._pack(p), n) == p
 
 
 # --- budgets ---------------------------------------------------------------------
