@@ -11,6 +11,13 @@ of each length n - 1 by one point, and ``basis_via_poset_descent`` scans
 every permutation of the bound length and descends through deletions. Both
 refuse up front by the n! size of the longest length they cover, which
 bounds the extension route's |B_k ∩ S_{n-1}|·n candidates from above.
+
+``basis`` reads each length once through the public ``ball`` and tests its
+candidates with the public ``one_point_deletions``, so a traced run sees its
+ball reads and deletion scans at those layer boundaries; only its candidates
+are built on bytes, with ``core._BUMP``. ``basis_via_poset_descent`` works on
+bytes throughout, with sets from ``models._members`` and deletions from
+``core._deletions``, and builds tuples only for the elements it finds.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Iterable
 from . import core
 from .core import DEFAULT_MAX_STATES, Perm
 from .genset import element_length
-from .models import Model, ball, ball_set
+from .models import Model, _members, ball
 
 
 @dataclass(frozen=True)
@@ -42,24 +49,25 @@ class BasisReport:
     probe: BasisProbe | None = None
 
 
-def _minimal_nonmembers_at(n: int, k: int, model: Model, max_states: int | None) -> list[Perm]:
+def _minimal_nonmembers_at(
+    n: int, inside: frozenset[Perm], shorter: tuple[Perm, ...], inside_shorter: frozenset[Perm]
+) -> list[Perm]:
     """Basis elements of length n: outside the ball, with every deletion inside.
 
-    Deleting the last entry of such an element leaves a ball member of
-    length n - 1, so the candidates are the one-point extensions of those
-    members by a new last entry v; each permutation arises from exactly one
-    pair (member, v).
+    ``inside`` holds the ball members of length n, and ``shorter`` those of
+    length n - 1 (``inside_shorter`` as a set). Deleting the last entry of
+    such an element leaves a ball member of length n - 1, so the candidates
+    are the one-point extensions of those members by a new last entry v;
+    each permutation arises from exactly one pair (member, v).
     """
-    inside = ball_set(n, k, model, max_states=max_states)
-    shorter = ball(n - 1, k, model, max_states=max_states)
-    inside_shorter = frozenset(shorter)
     found = []
     for q in shorter:
+        b = bytes(q)
         for v in range(1, n + 1):
-            p = tuple(x + (x >= v) for x in q) + (v,)
+            p = tuple(b.translate(core._BUMP[v])) + (v,)
             if p in inside:
                 continue
-            if all(d in inside_shorter for d in core.one_point_deletions(p)):
+            if inside_shorter.issuperset(core.one_point_deletions(p)):
                 found.append(p)
     return found
 
@@ -85,12 +93,19 @@ def basis(
     bound = element_length(k, model)
     core.check_budget(math.factorial(bound + 1 if probe_extra else bound), max_states)
     elements: list[Perm] = []
-    for n in range(2, bound + 1):
-        elements.extend(_minimal_nonmembers_at(n, k, model, max_states))
     probe = None
-    if probe_extra:
-        extra = _minimal_nonmembers_at(bound + 1, k, model, max_states)
-        probe = BasisProbe(length=bound + 1, elements=core.perm_set(extra))
+    # each length is read once: as the ball at n, then as the shorter one at n + 1
+    shorter = ball(1, k, model, max_states=max_states)
+    inside_shorter = frozenset(shorter)
+    for n in range(2, bound + 2 if probe_extra else bound + 1):
+        members = ball(n, k, model, max_states=max_states)
+        inside = frozenset(members)
+        found = _minimal_nonmembers_at(n, inside, shorter, inside_shorter)
+        if n <= bound:
+            elements.extend(found)
+        else:
+            probe = BasisProbe(length=n, elements=core.perm_set(found))
+        shorter, inside_shorter = members, inside
     return BasisReport(
         k=k,
         model=model,
@@ -115,23 +130,23 @@ def basis_via_poset_descent(
     model = Model.coerce(model)
     bound = element_length(k, model)
     core.check_budget(math.factorial(bound), max_states)
-    inside = ball_set(bound, k, model, max_states=max_states)
-    frontier: Iterable[Perm] = (p for p in core.all_perms(bound) if p not in inside)
-    found: set[Perm] = set()
+    inside = frozenset(_members(bound, k, model, max_states))
+    frontier: Iterable[bytes] = (p for p in map(bytes, core.all_perms(bound)) if p not in inside)
+    found: set[bytes] = set()
     for n in range(bound, 1, -1):
-        inside_shorter = ball_set(n - 1, k, model, max_states=max_states)
-        descend: set[Perm] = set()
+        inside_shorter = frozenset(_members(n - 1, k, model, max_states))
+        descend: set[bytes] = set()
         for p in frontier:
-            outside = [q for q in core.one_point_deletions(p) if q not in inside_shorter]
+            outside = core._deletions(p) - inside_shorter
             if outside:
-                descend.update(outside)
+                descend |= outside
             else:
                 found.add(p)
         frontier = descend
     return BasisReport(
         k=k,
         model=model,
-        elements=core.perm_set(found),
+        elements=core.perm_set(map(tuple, found)),
         length_bound_used=bound,
         probe=None,
     )
@@ -149,9 +164,12 @@ def verify_class_closure(
     model = Model.coerce(model)
     if k < 0:
         raise ValueError("negative radius")
+    # each length is read once: as the members at n, then as the set at n + 1
+    shorter = frozenset(ball(0, k, model, max_states=max_states))
     for n in range(1, n_max + 1):
-        shorter = ball_set(n - 1, k, model, max_states=max_states)
-        for p in ball(n, k, model, max_states=max_states):
-            if any(q not in shorter for q in core.one_point_deletions(p)):
+        members = ball(n, k, model, max_states=max_states)
+        for p in members:
+            if not shorter.issuperset(core.one_point_deletions(p)):
                 return False
+        shorter = frozenset(members)
     return True

@@ -9,11 +9,18 @@ any number of concurrent workers.
 Two text encodings are supported: a compact digit string for n <= 9
 ("1352647") and comma-separated values for any length ("13,5,2,..."). Both
 are accepted on input; the compact form is emitted whenever n <= 9.
+
+Inside the structure routes a permutation of length <= 255 may also be held
+as bytes, one entry per byte, which sort and hash in C. The relabelling
+tables ``_RESCALE`` and ``_BUMP`` turn a deletion or an insertion into one
+``bytes.translate`` call; ``_deletions`` works on bytes, and the public
+``one_point_deletions`` builds tuples from it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
@@ -131,8 +138,9 @@ def strips(p: Perm) -> list[tuple[int, int]]:
 
 def is_plus_irreducible(p: Perm) -> bool:
     """True when no entry is followed by its successor, i.e. every strip has
-    length 1. Vacuously true for n <= 1."""
-    return all(p[i + 1] != p[i] + 1 for i in range(len(p) - 1))
+    length 1. Vacuously true for n <= 1. Accepts bytes with one entry per
+    byte as well as tuples."""
+    return 1 not in map(operator.sub, p[1:], p)
 
 
 def reduce(p: Perm) -> Perm:
@@ -186,13 +194,25 @@ _BYTES = bytes(range(256))
 #: ``_RESCALE[v]`` is a bytes.translate table that moves every byte above v
 #: one down: the relabelling after the entry v is deleted.
 _RESCALE = [_BYTES[: v + 1] + _BYTES[v:255] for v in range(256)]
+#: ``_ONE[v]`` is the byte v alone, the delete argument of bytes.translate.
+_ONE = [_BYTES[v : v + 1] for v in range(256)]
+#: ``_BUMP[v]`` moves every byte from v up one: the relabelling before an
+#: entry v is inserted (255, which has no room above it, maps to 0).
+_BUMP = [_BYTES[:v] + _BYTES[v + 1 :] + _BYTES[:1] for v in range(256)]
+
+
+def _deletions(b: bytes) -> set[bytes]:
+    """The distinct one-point deletions of a permutation held as bytes, one
+    entry per byte, each rescaled in one ``bytes.translate`` call."""
+    return {b.translate(_RESCALE[v], _ONE[v]) for v in b}
 
 
 def one_point_deletions(p: Perm) -> tuple[Perm, ...]:
     """All distinct permutations obtained by deleting one entry and rescaling.
 
-    Permutations of length <= 255 are rescaled as bytes, whose sort order
-    matches the tuples'; longer ones take the plain tuple route.
+    Permutations of length <= 255 are handled as bytes, whose sort order
+    matches the tuples' since all deletions have one length; longer ones
+    take the plain tuple route.
 
     >>> one_point_deletions((1, 3, 2, 4))
     ((1, 2, 3), (1, 3, 2), (2, 1, 3))
@@ -204,10 +224,7 @@ def one_point_deletions(p: Perm) -> tuple[Perm, ...]:
             tuple(x - (x > removed) for j, x in enumerate(p) if j != i)
             for i, removed in enumerate(p)
         }))
-    b = bytes(p)
-    return tuple(map(tuple, sorted({
-        (b[:i] + b[i + 1 :]).translate(_RESCALE[v]) for i, v in enumerate(b)
-    })))
+    return tuple(map(tuple, sorted(_deletions(bytes(p)))))
 
 
 def monotone_inflate(p: Perm, v: Iterable[int]) -> Perm:

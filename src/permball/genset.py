@@ -7,8 +7,9 @@ maximal plus-irreducible members. For the block model these have length
 3k+1; for the prefix model, length 2k+1.
 
 Two independent routes compute the same sets. The direct route keeps the
-plus-irreducible members of the ball at the right length that lie outside
-the ball one radius smaller. The constructive route grows generation k+1
+plus-irreducible members at distance exactly k at the right length: it reads
+them off the level table as bytes, tests them there, and builds tuples only
+for the generating permutations. The constructive route grows generation k+1
 from generation k: for the block model, inflate three chosen positions into
 strips and break all of them with one transposition; for the prefix model,
 apply one of three shape-preserving inflation steps (one per relative
@@ -269,15 +270,15 @@ def generating_set_direct(
     k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> GeneratingSetReport:
     """Filter the members of ball k at the target length down to the plus
-    irreducible ones at distance exactly k (outside ball k-1)."""
+    irreducible ones at distance exactly k (outside ball k-1).
+
+    The members at distance exactly k are read off the level table as bytes
+    and tested there; only the survivors become tuples.
+    """
     model = Model.coerce(model)
     target = element_length(k, model)
-    closer = models.ball_set(target, k - 1, model, max_states=max_states)
-    elements = tuple(
-        p
-        for p in models.ball(target, k, model, max_states=max_states)
-        if core.is_plus_irreducible(p) and p not in closer
-    )
+    sphere = models._members(target, k, model, max_states, exact=True)
+    elements = tuple(map(tuple, sorted(filter(core.is_plus_irreducible, sphere))))
     return GeneratingSetReport(
         k=k, model=model, method="direct", elements=elements, element_length=target
     )

@@ -19,6 +19,10 @@ A budget refuses during expansion, as soon as the visited states exceed it; a
 refusal never leaves a partial BFS level or a memo entry behind, while whole
 levels finished before it stay cached. The tables and the memo are
 process-wide and unsynchronised, so the engine is single-threaded.
+
+``_members`` reads a ball, or only its members at distance exactly k, off the
+level table once, as bytes with one entry per byte; the structure routes
+work on those bytes, and ``ball`` and ``ball_set`` build the tuples.
 """
 
 from __future__ import annotations
@@ -103,9 +107,14 @@ def _pack(p: Perm) -> int:
 _HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(1, 17)))
 
 
-def _unpack(code: int, n: int) -> Perm:
+def _unpack_bytes(code: int, n: int) -> bytes:
+    """The permutation of a packed code as bytes, one entry per byte."""
     # the hex string lists the nibbles from the last entry to the first
-    return tuple(format(code, "x").zfill(n).encode()[::-1].translate(_HEX))
+    return format(code, "x").zfill(n).encode()[::-1].translate(_HEX)
+
+
+def _unpack(code: int, n: int) -> Perm:
+    return tuple(_unpack_bytes(code, n))
 
 
 def _expand(
@@ -265,9 +274,12 @@ def pairwise_distance(
     return distance(relabeled, model, max_states=max_states)
 
 
-def _members(n: int, k: int, model: Model | str, max_states: int | None) -> list[Perm]:
-    """The distinct members of the ball, unordered, read off the level table
-    after growing it to depth k."""
+def _members(
+    n: int, k: int, model: Model | str, max_states: int | None, *, exact: bool = False
+) -> list[bytes]:
+    """The distinct members of the ball (only those at distance exactly k
+    when ``exact``), unordered and as bytes, read off the level table after
+    growing it to depth k."""
     model = Model.coerce(model)
     if n < 0:
         raise ValueError("negative length")
@@ -276,11 +288,12 @@ def _members(n: int, k: int, model: Model | str, max_states: int | None) -> list
     if n > _PACK_MAX:
         raise BudgetError(f"ball construction supports length <= {_PACK_MAX}")
     if n == 0:
-        return [()]
+        return [b""] if k == 0 or not exact else []
     table = _table(n, model)
     while table.depth < k and table.grow(max_states):
         pass
-    return [_unpack(code, n) for code, d in table.dist.items() if d <= k]
+    nearest = k if exact else 0
+    return [_unpack_bytes(code, n) for code, d in table.dist.items() if nearest <= d <= k]
 
 
 def ball(
@@ -292,12 +305,12 @@ def ball(
 ) -> tuple[Perm, ...]:
     """All permutations of length ``n`` at distance <= k from the identity,
     via k-level breadth-first expansion from the identity."""
-    # the table's codes are distinct, so sorting alone gives the canonical order
-    return tuple(sorted(_members(n, k, model, max_states)))
+    # equal-length bytes sort in the tuples' order, and sort faster
+    return tuple(map(tuple, sorted(_members(n, k, model, max_states))))
 
 
 def ball_set(
     n: int, k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> frozenset[Perm]:
     """The members of ``ball(n, k, model)`` as a set, for membership tests."""
-    return frozenset(_members(n, k, model, max_states))
+    return frozenset(map(tuple, _members(n, k, model, max_states)))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from permball import core
 from permball.core import (
     BudgetError,
     breakpoint_count,
@@ -209,6 +210,16 @@ def test_deletions_match_the_tuple_reference():
     samples.append(tuple(rng.sample(range(1, 301), 300)))
     for p in samples:
         assert one_point_deletions(p) == deletions_reference(p), p
+
+
+def test_bump_table_extends_like_the_tuple_expression():
+    # the one-point extension that basis builds its candidates from
+    for n in range(7):
+        for q in all_perms(n):
+            b = bytes(q)
+            for v in range(1, n + 2):
+                expected = tuple(x + (x >= v) for x in q) + (v,)
+                assert tuple(b.translate(core._BUMP[v])) + (v,) == expected, (q, v)
 
 
 # --- inflation ------------------------------------------------------------------

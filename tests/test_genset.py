@@ -109,6 +109,25 @@ def test_cross_method_equality_and_cardinality_law():
     ).elements
 
 
+def test_direct_route_selects_by_distance_not_table_depth():
+    def old_filter(k, model):
+        # plus-irreducible members of ball k at the target length outside ball k-1
+        n = genset.element_length(k, model)
+        closer = models.ball_set(n, k - 1, model)
+        return tuple(
+            p
+            for p in models.ball(n, k, model)
+            if all(p[i + 1] != p[i] + 1 for i in range(n - 1)) and p not in closer
+        )
+
+    for model, k in (("td", 1), ("td", 2), ("ptd", 1), ("ptd", 2), ("ptd", 3)):
+        models._reset_caches()
+        assert generating_set_direct(k, model).elements == old_filter(k, model)
+        # a deeper ball at the same length leaves codes past depth k in the table
+        models.ball(genset.element_length(k, model), k + 1, model)
+        assert generating_set_direct(k, model).elements == old_filter(k, model), (model, k)
+
+
 def test_generators_have_exact_distance_and_shape():
     for model, k, step in ((Model.BLOCK, 2, 3), (Model.PREFIX, 3, 2)):
         report = generating_set_constructive(k, model)
