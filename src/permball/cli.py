@@ -182,7 +182,11 @@ def _format_text(envelope: dict[str, Any]) -> str:
             lines.append(f"{check['status']:<7}  {check['name']}  [{check['detail']}]")
         lines.append(f"all_passed: {result['all_passed']}")
     else:
+        # the header already printed the model and the parameters
+        printed = {"model": envelope["model"], **envelope["parameters"]}
         for key, value in result.items():
+            if key in printed and printed[key] == value:
+                continue
             if isinstance(value, list):
                 lines.append(f"{key}:")
                 lines += [f"  {item}" for item in value]

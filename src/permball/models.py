@@ -9,16 +9,20 @@ off a breadth-first expansion from the identity.
 All distances returned here are exact. One BFS table from the identity per
 (length, model), grown lazily and cached for the whole process, answers
 small lengths outright, holds every ball, and is the identity side of the
-memoized bidirectional search used for longer single queries. Every BFS step
-builds a state's children from its 4-bit packed code by bit masks and
-shifts, one mask tuple per cut-point triple. Results never depend on which
-path answered. State budgets bound search work: an answer already in the
-cache is returned as-is, and the two sides of a bidirectional search share
-one budget that counts only the states the search adds, not the cached ones.
-A budget refuses during expansion, as soon as the visited states exceed it; a
-refusal never leaves a partial BFS level or a memo entry behind, while whole
-levels finished before it stay cached. The tables and the memo are
-process-wide and unsynchronised, so the engine is single-threaded.
+memoized bidirectional search used for longer single queries. That search
+ends at the first state both sides have reached: the identity table holds
+whole BFS levels, so the first meet already has the exact distance. Only the
+throwaway table rooted at the query may stop mid-level; the cached identity
+table always finishes a level. Every BFS step builds a state's children from
+its 4-bit packed code by bit masks and shifts, one mask tuple per cut-point
+triple. Results never depend on which path answered. State budgets bound
+search work: an answer already in the cache is returned as-is, and the two
+sides of a bidirectional search share one budget that counts only the states
+the search adds, not the cached ones. A budget refuses during expansion, as
+soon as the visited states exceed it; a refusal never leaves a partial BFS
+level or a memo entry behind, while whole levels finished before it stay
+cached. The tables and the memo are process-wide and unsynchronised, so the
+engine is single-threaded.
 
 ``_members`` reads a ball, or only its members at distance exactly k, off the
 level table once, as bytes with one entry per byte; the structure routes
@@ -28,8 +32,7 @@ work on those bytes, and ``ball`` and ``ball_set`` build the tuples.
 from __future__ import annotations
 
 import enum
-import math
-from typing import Iterator
+from typing import Container, Iterator
 
 from . import core
 from .core import BudgetError, DEFAULT_MAX_STATES, Perm
@@ -124,13 +127,16 @@ def _expand(
     n: int,
     masks: list[tuple[int, int, int, int, int]],
     max_states: int | None,
+    meet: Container[int] = (),
 ) -> list[int]:
     """Record every unseen child of ``frontier`` in ``seen`` at ``depth``;
     return the new codes in discovery order.
 
     The budget caps ``len(seen)`` and is checked after each expanded state.
     On refusal the entries this call added are removed again, so ``seen`` is
-    left as it was found.
+    left as it was found. A new child that is in ``meet`` ends the call at
+    once and is the last code returned; the level is then partial, so only a
+    throwaway table may pass ``meet``.
     """
     fresh: list[int] = []
     for code in frontier:
@@ -139,6 +145,8 @@ def _expand(
             if child not in seen:
                 seen[child] = depth
                 fresh.append(child)
+                if child in meet:
+                    return fresh
         if max_states is not None and len(seen) > max_states:
             for child in fresh:
                 del seen[child]
@@ -169,10 +177,11 @@ class _LevelTable:
             keep = ((1 << 4 * n) - 1) & ~(left | right)
             self._masks.append((keep, left, 4 * (k - j), right, 4 * (j - i)))
 
-    def grow(self, max_states: int | None = None) -> bool:
-        """Add one BFS level; return False once the graph is exhausted."""
+    def grow(self, max_states: int | None = None, meet: Container[int] = ()) -> bool:
+        """Add one BFS level, or only its part up to the first state in
+        ``meet`` (see ``_expand``); return False once the graph is exhausted."""
         self.frontier = _expand(
-            self.frontier, self.dist, self.depth + 1, self.n, self._masks, max_states
+            self.frontier, self.dist, self.depth + 1, self.n, self._masks, max_states, meet
         )
         if not self.frontier:
             return False
@@ -184,9 +193,10 @@ _tables: dict[tuple[int, Model], _LevelTable] = {}
 _bidi_memo: dict[tuple[Model, Perm], int] = {}
 
 #: Full tables are built on demand up to this length; longer single queries
-#: use bidirectional search instead of saturating n!-sized tables. Even with
-#: bit-mask expansion, a cutoff of 8 makes the distance-stream benchmark
-#: slower (median wall 4.8 -> 5.3 s) and larger (peak RSS 52.2 -> 56.6 MB).
+#: use bidirectional search instead of saturating n!-sized tables. With the
+#: search ending at its first meet, a cutoff of 8 makes the distance-stream
+#: benchmark slower (median wall 1.00 -> 1.56 s, seeds 1-5 on 2 cores) and
+#: larger (peak RSS 33.8 -> 38.3 MB).
 _FULL_TABLE_MAX = 7
 
 
@@ -204,29 +214,41 @@ def _reset_caches() -> None:
 
 
 def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
-    """Meet a throwaway BFS from ``p`` with the cached one from the identity;
-    ``p`` is not in the identity table yet."""
+    """Meet a throwaway BFS from ``p`` with the cached one from the identity.
+
+    The search ends at the first state found on both sides, worth
+    ``here.depth + there.depth`` exactly. The identity table holds whole
+    levels, so a state of the query's new level that met it below its last
+    level would have a parent in it too, and that earlier meet would have
+    been found; the breakpoint bound only skips tests where no meet can
+    exist. The query side therefore stops mid-level, while the identity
+    side, which is cached, finishes its level before it is tested.
+    """
+    there = _table(len(p), model)
+    code = _pack(p)
+    if code in there.dist:
+        return there.dist[code]
     key = (model, p)
     if key in _bidi_memo:
         return _bidi_memo[key]
     # No block-model path is shorter than the breakpoint bound ceil(b/3) of
     # Bafna and Pevzner, so meet tests before that combined depth are waste.
     lower = -(-core.breakpoint_count(p) // 3) if model is Model.BLOCK else 0
-    here, there = _LevelTable(len(p), model, p), _table(len(p), model)
-    cached, best = len(there.dist), math.inf
-    while here.frontier and there.frontier and best > here.depth + there.depth:
+    here, cached = _LevelTable(len(p), model, p), len(there.dist)
+    while here.frontier and there.frontier:
         mine, other = (here, there) if len(here.frontier) <= len(there.frontier) else (there, here)
         # Both sides share the budget, which counts only the states this
         # search adds: identity levels cached by earlier work are free.
-        mine.grow(None if max_states is None else max_states + cached - len(other.dist))
-        if best < math.inf or here.depth + there.depth >= lower:
-            for child in mine.frontier:
-                if child in other.dist:
-                    best = min(best, mine.depth + other.dist[child])
-    if best is math.inf:
-        raise RuntimeError(f"search exhausted without reaching the identity from {p!r}")
-    _bidi_memo[key] = int(best)
-    return int(best)
+        limit = None if max_states is None else max_states + cached - len(other.dist)
+        deep = here.depth + there.depth + 1 >= lower  # a meet is possible after growing
+        if mine is here:
+            met = here.grow(limit, there.dist if deep else ()) and here.frontier[-1] in there.dist
+        else:
+            met = there.grow(limit) and deep and any(c in here.dist for c in there.frontier)
+        if met:
+            _bidi_memo[key] = here.depth + there.depth
+            return here.depth + there.depth
+    raise RuntimeError(f"search exhausted without reaching the identity from {p!r}")
 
 
 def distance(
@@ -248,10 +270,10 @@ def distance(
         return 0
     if n > _PACK_MAX:
         raise BudgetError(f"distance queries support length <= {_PACK_MAX}")
+    if n > _FULL_TABLE_MAX:
+        return _bidirectional(p, model, max_states)
     code = _pack(p)
     table = _table(n, model)
-    if n > _FULL_TABLE_MAX and code not in table.dist:
-        return _bidirectional(p, model, max_states)
     while code not in table.dist:
         if not table.grow(max_states):
             raise RuntimeError(f"search exhausted without reaching {p!r}")

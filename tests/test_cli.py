@@ -112,6 +112,15 @@ def test_text_and_json_carry_the_same_payload(capsys):
                 assert f"{key}: {value}" in text
 
 
+def test_text_envelope_prints_model_and_k_once(capsys):
+    code, text, _ = run(capsys, "basis", "--model", "ptd", "-k", "1")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines.count("model: ptd") == 1
+    assert lines.count("k: 1") == 1
+    assert sum(line.startswith(("model:", "k:")) for line in lines) == 2
+
+
 # --- exit codes ---------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Operations, neighbor generation, and the exact distance engine."""
 
+import functools
 import itertools
 import random
 
@@ -37,6 +38,16 @@ def bfs_distance(p, model):
         depth += 1
         assert frontier, "ran out of states"
     return depth
+
+
+@functools.cache
+def full_table(n, model):
+    """Oracle: the distance of every state of S_n from a table grown to
+    exhaustion outside the engine's caches, so no search ever stops early."""
+    table = models._LevelTable(n, model)
+    while table.grow(max_states=None):
+        pass
+    return table.dist
 
 
 # --- elementary operation -----------------------------------------------------
@@ -130,6 +141,74 @@ def test_bidirectional_engine_agrees_on_longer_inputs():
                 if warm:
                     ball(8, 2, m)
                 assert distance(p, m) == expected, (p, m, warm)
+
+
+def test_first_meet_agrees_with_the_full_s8_table():
+    # the query side stops at its first meet; cold caches are reset every few
+    # queries, warm ones start from a cached identity table of depth 2, and
+    # the queries in between reuse the identity levels the earlier ones grew
+    rng = random.Random(808)
+    sample = [tuple(rng.sample(range(1, 9), 8)) for _ in range(60)]
+    for m in (Model.BLOCK, Model.PREFIX):
+        expected = full_table(8, m)
+        for warm in (False, True):
+            for i, p in enumerate(sample):
+                if i % 4 == 0:
+                    models._reset_caches()
+                    if warm:
+                        ball(8, 2, m)
+                assert distance(p, m) == expected[models._pack(p)], (p, m, warm)
+
+
+def test_identity_tables_hold_whole_levels_after_a_query_stream():
+    models._reset_caches()
+    rng = random.Random(99)
+    for _ in range(12):
+        p = tuple(rng.sample(range(1, 10), 9))
+        for m in (Model.BLOCK, Model.PREFIX):
+            distance(p, m)
+    tables = dict(models._tables)
+    assert all(tables[(9, m)].depth > 0 for m in Model)
+    for (n, m), table in tables.items():
+        assert set(table.frontier) == {
+            code for code, d in table.dist.items() if d == table.depth
+        }, (n, m)
+        models._reset_caches()
+        assert len(table.dist) == len(ball(n, table.depth, m, max_states=None)), (n, m)
+
+
+def test_query_side_stops_mid_level_at_the_first_meet(monkeypatch):
+    queries = []
+
+    class Recording(models._LevelTable):
+        __slots__ = ()
+
+        def __init__(self, n, model, root=None):
+            super().__init__(n, model, root)
+            if root is not None:
+                queries.append(self)
+
+    monkeypatch.setattr(models, "_LevelTable", Recording)
+    models._reset_caches()
+    p = tuple(range(9, 0, -1))
+    # this search meets while the query side grows its fourth level
+    assert distance(p, "ptd") == 7
+    (here,) = queries
+    whole = models._LevelTable(9, Model.PREFIX, p)
+    while whole.depth < here.depth:
+        whole.grow()
+    assert here.frontier[-1] in models._tables[(9, Model.PREFIX)].dist
+    assert 0 < len(here.frontier) < len(whole.frontier)
+
+
+def test_bidirectional_answers_from_the_identity_table():
+    # a query already in the identity table is not searched; the search from
+    # it would meet at once and overcount by a level
+    models._reset_caches()
+    ball(8, 2, "td")
+    table = models._tables[(8, Model.BLOCK)]
+    for code, d in itertools.islice(table.dist.items(), 0, None, 97):
+        assert models._bidirectional(models._unpack(code, 8), Model.BLOCK, None) == d
 
 
 def test_block_reduction_invariance_exhaustive():

@@ -7,9 +7,11 @@ draws the same inputs and the file stays within a few seconds.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permball import models
 from permball.core import one_point_deletions
 from permball.models import apply_transposition, distance, pairwise_distance, transposition_triples
 from test_core import deletions_reference
+from test_models import full_table
 
 MODELS = ("td", "ptd")
 
@@ -45,3 +47,12 @@ def test_pairwise_distance_obeys_the_triangle_inequality(model, triple):
 @given(perms(1, 20))
 def test_deletions_match_the_tuple_reference_on_drawn_permutations(p):
     assert one_point_deletions(p) == deletions_reference(p)
+
+
+@fixed(100)
+@given(st.sampled_from(models.Model), st.permutations(range(1, 9)).map(tuple))
+def test_distance_matches_the_full_table_at_length_8(model, p):
+    # length 8 is past the full-table cutoff, so this is the bidirectional
+    # search, from cold caches every time
+    models._reset_caches()
+    assert distance(p, model) == full_table(8, model)[models._pack(p)]
