@@ -13,16 +13,18 @@ memoized bidirectional search used for longer single queries. That search
 ends at the first state both sides have reached: the identity table holds
 whole BFS levels, so the first meet already has the exact distance. Only the
 throwaway table rooted at the query may stop mid-level; the cached identity
-table always finishes a level. Every BFS step builds a state's children from
-its 4-bit packed code by bit masks and shifts, one mask tuple per cut-point
-triple. Results never depend on which path answered. State budgets bound
-search work: an answer already in the cache is returned as-is, and the two
-sides of a bidirectional search share one budget that counts only the states
-the search adds, not the cached ones. A budget refuses during expansion, as
-soon as the visited states exceed it; a refusal never leaves a partial BFS
-level or a memo entry behind, while whole levels finished before it stay
-cached. The tables and the memo are process-wide and unsynchronised, so the
-engine is single-threaded.
+table always finishes a level. The query side expands the states with the
+fewest breakpoints first, so the meet comes within the first few of them
+and a query's work hardly depends on which permutation it is. Every BFS
+step builds a state's children from its 4-bit packed code by bit masks and
+shifts, one mask tuple per cut-point triple. Results never depend on which
+path answered. State budgets bound search work: an answer already in the
+cache is returned as-is, and the two sides of a bidirectional search share
+one budget that counts only the states the search adds, not the cached ones.
+A budget refuses during expansion, as soon as the visited states exceed it;
+a refusal never leaves a partial BFS level or a memo entry behind, while
+whole levels finished before it stay cached. The tables and the memo are
+process-wide and unsynchronised, so the engine is single-threaded.
 
 ``_members`` reads a ball, or only its members at distance exactly k, off the
 level table once, as bytes with one entry per byte; the structure routes
@@ -32,7 +34,7 @@ work on those bytes, and ``ball`` and ``ball_set`` build the tuples.
 from __future__ import annotations
 
 import enum
-from typing import Container, Iterator
+from typing import Callable, Container, Iterator
 
 from . import core
 from .core import BudgetError, DEFAULT_MAX_STATES, Perm
@@ -189,14 +191,31 @@ class _LevelTable:
         return True
 
 
+def _breakpoint_key(n: int) -> Callable[[int], int]:
+    """``core.breakpoint_count`` of a packed code of length ``n``. At length
+    16 the +1 on entry 16 carries into its neighbour's nibble, so the count
+    there can be off, which only matters as an order."""
+    lows = sum(1 << 4 * i for i in range(n - 1))  # bit 0 of nibbles 0..n-2
+    nibbles = lows * 15
+    last = 4 * (n - 1)
+
+    def key(code: int) -> int:
+        # nibble i is zero where entry i + 1 is the successor of entry i
+        diff = ((code >> 4) ^ (code + lows)) & nibbles
+        inner = ((diff | diff >> 1 | diff >> 2 | diff >> 3) & lows).bit_count()
+        return inner + (code & 15 != 0) + (code >> last != n - 1)
+
+    return key
+
+
 _tables: dict[tuple[int, Model], _LevelTable] = {}
 _bidi_memo: dict[tuple[Model, Perm], int] = {}
 
 #: Full tables are built on demand up to this length; longer single queries
 #: use bidirectional search instead of saturating n!-sized tables. With the
-#: search ending at its first meet, a cutoff of 8 makes the distance-stream
-#: benchmark slower (median wall 1.00 -> 1.56 s, seeds 1-5 on 2 cores) and
-#: larger (peak RSS 33.8 -> 38.3 MB).
+#: nearest-first search ending at its first meet, a cutoff of 8 makes the
+#: distance-stream benchmark slower (median wall 0.53 -> 1.35 s, seeds 1-5 on
+#: 2 cores) and larger (peak RSS 27.6 -> 32.5 MB).
 _FULL_TABLE_MAX = 7
 
 
@@ -223,6 +242,13 @@ def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
     been found; the breakpoint bound only skips tests where no meet can
     exist. The query side therefore stops mid-level, while the identity
     side, which is cached, finishes its level before it is tested.
+
+    That holds in any order within a level, so before each level that can
+    meet the query frontier is sorted by breakpoint count: states with few
+    breakpoints tend to lie near the identity, and the meet comes within
+    the first few of them, not at a point of the level that depends on the
+    query. The query side then costs its lower levels, whose sizes are the
+    same for every query of one length, and little more.
     """
     there = _table(len(p), model)
     code = _pack(p)
@@ -235,6 +261,7 @@ def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
     # Bafna and Pevzner, so meet tests before that combined depth are waste.
     lower = -(-core.breakpoint_count(p) // 3) if model is Model.BLOCK else 0
     here, cached = _LevelTable(len(p), model, p), len(there.dist)
+    nearest_first = _breakpoint_key(len(p))
     while here.frontier and there.frontier:
         mine, other = (here, there) if len(here.frontier) <= len(there.frontier) else (there, here)
         # Both sides share the budget, which counts only the states this
@@ -242,6 +269,8 @@ def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
         limit = None if max_states is None else max_states + cached - len(other.dist)
         deep = here.depth + there.depth + 1 >= lower  # a meet is possible after growing
         if mine is here:
+            if deep:
+                here.frontier.sort(key=nearest_first)
             met = here.grow(limit, there.dist if deep else ()) and here.frontier[-1] in there.dist
         else:
             met = there.grow(limit) and deep and any(c in here.dist for c in there.frontier)
