@@ -208,10 +208,9 @@ def main(argv: list[str] | None = None) -> int:
             "command": args.command,
             "model": getattr(args, "model", None),
             "parameters": {
-                key: getattr(args, attr)
-                for key, attr in (("k", "k"), ("n", "n"), ("method", "method"),
-                                  ("max_n", "max_n"), ("perm", "perm"))
-                if hasattr(args, attr)
+                key: getattr(args, key)
+                for key in ("k", "n", "method", "max_n", "perm")
+                if hasattr(args, key)
             },
             "result": result,
             "elapsed_seconds": time.perf_counter() - started,

@@ -28,7 +28,7 @@ process-wide and unsynchronised, so the engine is single-threaded.
 
 ``_members`` reads a ball, or only its members at distance exactly k, off the
 level table once, as bytes with one entry per byte; the structure routes
-work on those bytes, and ``ball`` and ``ball_set`` build the tuples.
+work on those bytes, and ``ball`` builds the tuples.
 """
 
 from __future__ import annotations
@@ -118,10 +118,6 @@ def _unpack_bytes(code: int, n: int) -> bytes:
     return format(code, "x").zfill(n).encode()[::-1].translate(_HEX)
 
 
-def _unpack(code: int, n: int) -> Perm:
-    return tuple(_unpack_bytes(code, n))
-
-
 def _expand(
     frontier: list[int],
     seen: dict[int, int],
@@ -192,9 +188,9 @@ class _LevelTable:
 
 
 def _breakpoint_key(n: int) -> Callable[[int], int]:
-    """``core.breakpoint_count`` of a packed code of length ``n``. At length
-    16 the +1 on entry 16 carries into its neighbour's nibble, so the count
-    there can be off, which only matters as an order."""
+    """The breakpoint count of a packed code of length ``n``, framed by 0 and
+    n + 1. At length 16 the +1 on entry 16 carries into its neighbour's
+    nibble, so the count there can be off, which only matters as an order."""
     lows = sum(1 << 4 * i for i in range(n - 1))  # bit 0 of nibbles 0..n-2
     nibbles = lows * 15
     last = 4 * (n - 1)
@@ -239,16 +235,15 @@ def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
     ``here.depth + there.depth`` exactly. The identity table holds whole
     levels, so a state of the query's new level that met it below its last
     level would have a parent in it too, and that earlier meet would have
-    been found; the breakpoint bound only skips tests where no meet can
-    exist. The query side therefore stops mid-level, while the identity
+    been found. The query side therefore stops mid-level, while the identity
     side, which is cached, finishes its level before it is tested.
 
-    That holds in any order within a level, so before each level that can
-    meet the query frontier is sorted by breakpoint count: states with few
-    breakpoints tend to lie near the identity, and the meet comes within
-    the first few of them, not at a point of the level that depends on the
-    query. The query side then costs its lower levels, whose sizes are the
-    same for every query of one length, and little more.
+    That holds in any order within a level, so before each level the query
+    frontier is sorted by breakpoint count: states with few breakpoints tend
+    to lie near the identity, and the meet comes within the first few of
+    them, not at a point of the level that depends on the query. The query
+    side then costs its lower levels, whose sizes are the same for every
+    query of one length, and little more.
     """
     there = _table(len(p), model)
     code = _pack(p)
@@ -257,9 +252,6 @@ def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
     key = (model, p)
     if key in _bidi_memo:
         return _bidi_memo[key]
-    # No block-model path is shorter than the breakpoint bound ceil(b/3) of
-    # Bafna and Pevzner, so meet tests before that combined depth are waste.
-    lower = -(-core.breakpoint_count(p) // 3) if model is Model.BLOCK else 0
     here, cached = _LevelTable(len(p), model, p), len(there.dist)
     nearest_first = _breakpoint_key(len(p))
     while here.frontier and there.frontier:
@@ -267,13 +259,11 @@ def _bidirectional(p: Perm, model: Model, max_states: int | None) -> int:
         # Both sides share the budget, which counts only the states this
         # search adds: identity levels cached by earlier work are free.
         limit = None if max_states is None else max_states + cached - len(other.dist)
-        deep = here.depth + there.depth + 1 >= lower  # a meet is possible after growing
         if mine is here:
-            if deep:
-                here.frontier.sort(key=nearest_first)
-            met = here.grow(limit, there.dist if deep else ()) and here.frontier[-1] in there.dist
+            here.frontier.sort(key=nearest_first)
+            met = here.grow(limit, there.dist) and here.frontier[-1] in there.dist
         else:
-            met = there.grow(limit) and deep and any(c in here.dist for c in there.frontier)
+            met = there.grow(limit) and any(c in here.dist for c in there.frontier)
         if met:
             _bidi_memo[key] = here.depth + there.depth
             return here.depth + there.depth
@@ -359,9 +349,3 @@ def ball(
     # equal-length bytes sort in the tuples' order, and sort faster
     return tuple(map(tuple, sorted(_members(n, k, model, max_states))))
 
-
-def ball_set(
-    n: int, k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
-) -> frozenset[Perm]:
-    """The members of ``ball(n, k, model)`` as a set, for membership tests."""
-    return frozenset(map(tuple, _members(n, k, model, max_states)))

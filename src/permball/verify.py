@@ -23,7 +23,7 @@ from . import core, genset, models
 from .basis import basis as compute_basis
 from .basis import basis_via_poset_descent, verify_class_closure
 from .core import BudgetError, Perm, all_perms
-from .models import Model, ball_set
+from .models import Model, ball
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,8 @@ def _check_closure(model: Model, top_k: int, top: int, golden, max_states):
             return False, f"deletion left the ball at k={j}"
     for n in range(1, top + 1):
         for j in range(top_k):
-            inner = ball_set(n, j, model, max_states=max_states)
-            if not inner <= ball_set(n, j + 1, model, max_states=max_states):
+            inner = frozenset(ball(n, j, model, max_states=max_states))
+            if not inner <= frozenset(ball(n, j + 1, model, max_states=max_states)):
                 return False, f"nesting failed at n={n}, k={j}"
     return True, f"deletion closure and nesting for n <= {top}, k <= {top_k}"
 
@@ -217,7 +217,7 @@ def _check_closure(model: Model, top_k: int, top: int, golden, max_states):
 def _check_ball_characterization(model: Model, top_k: int, top: int, golden, max_states):
     for j in range(1, top_k + 1):
         report = genset.generating_set_constructive(j, model, max_states=max_states)
-        ball_at = cache(partial(ball_set, k=j, model=model, max_states=max_states))
+        ball_at = cache(lambda n: frozenset(ball(n, j, model, max_states=max_states)))
         p = _sweep(top, lambda p: genset.mi_union_member(p, report) != (p in ball_at(len(p))))
         if p is not None:
             return False, f"mismatch at {core.format_perm(p)}, k={j}"

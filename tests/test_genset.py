@@ -113,7 +113,7 @@ def test_direct_route_selects_by_distance_not_table_depth():
     def old_filter(k, model):
         # plus-irreducible members of ball k at the target length outside ball k-1
         n = genset.element_length(k, model)
-        closer = models.ball_set(n, k - 1, model)
+        closer = frozenset(models.ball(n, k - 1, model))
         return tuple(
             p
             for p in models.ball(n, k, model)
