@@ -12,12 +12,12 @@ every permutation of the bound length and descends through deletions. Both
 refuse up front by the n! size of the longest length they cover, which
 bounds the extension route's |B_k ∩ S_{n-1}|·n candidates from above.
 
-``basis`` reads each length once through the public ``ball`` and tests its
-candidates with the public ``one_point_deletions``, so a traced run sees its
-ball reads and deletion scans at those layer boundaries; only its candidates
-are built on bytes, with ``core._BUMP``. ``basis_via_poset_descent`` works on
-bytes throughout, with sets from ``models._members`` and deletions from
-``core._deletions``, and builds tuples only for the elements it finds.
+Both routes hold permutations as bytes, one entry per byte, and build
+tuples only for the elements they find. ``basis`` reads each length once
+through the public ``ball`` and tests its candidates with the public
+``one_point_deletions`` on bytes, so a traced run sees its ball reads and
+deletion scans at those layer boundaries. ``basis_via_poset_descent`` reads
+its sets from ``models._members`` and deletes with the ``core`` byte tables.
 """
 
 from __future__ import annotations
@@ -50,25 +50,22 @@ class BasisReport:
 
 
 def _minimal_nonmembers_at(
-    n: int, inside: frozenset[Perm], shorter: tuple[Perm, ...], inside_shorter: frozenset[Perm]
+    n: int, inside: frozenset[bytes], shorter: list[bytes], inside_shorter: frozenset[bytes]
 ) -> list[Perm]:
     """Basis elements of length n: outside the ball, with every deletion inside.
 
     ``inside`` holds the ball members of length n, and ``shorter`` those of
-    length n - 1 (``inside_shorter`` as a set). Deleting the last entry of
-    such an element leaves a ball member of length n - 1, so the candidates
-    are the one-point extensions of those members by a new last entry v;
-    each permutation arises from exactly one pair (member, v).
+    length n - 1 (``inside_shorter`` as a set), all as bytes. Deleting the
+    last entry of such an element leaves a ball member of length n - 1, so
+    the candidates are the one-point extensions of those members by a new
+    last entry v; each permutation arises from exactly one pair (member, v).
     """
     found = []
-    for q in shorter:
-        b = bytes(q)
+    for b in shorter:
         for v in range(1, n + 1):
-            p = tuple(b.translate(core._BUMP[v])) + (v,)
-            if p in inside:
-                continue
-            if inside_shorter.issuperset(core.one_point_deletions(p)):
-                found.append(p)
+            p = b.translate(core._BUMP[v]) + core._ONE[v]
+            if p not in inside and inside_shorter.issuperset(core.one_point_deletions(p)):
+                found.append(tuple(p))
     return found
 
 
@@ -82,8 +79,8 @@ def basis(
     """Compute the basis of B_k by one-point extension up to the length bound.
 
     For each length n from 2 to the bound, the candidates are the ball
-    members of length n - 1 extended by a new last entry; keep those outside
-    the ball whose one-point deletions all lie inside it. With
+    members of length n - 1, as bytes, extended by a new last entry; keep
+    those outside the ball whose one-point deletions all lie inside it. With
     ``probe_extra`` the scan also covers one length above the bound and
     records the (expected empty) findings. Refuses up front when n! at the
     longest length exceeds ``max_states``: an over-estimate of the
@@ -95,10 +92,10 @@ def basis(
     elements: list[Perm] = []
     probe = None
     # each length is read once: as the ball at n, then as the shorter one at n + 1
-    shorter = ball(1, k, model, max_states=max_states)
+    shorter = list(map(bytes, ball(1, k, model, max_states=max_states)))
     inside_shorter = frozenset(shorter)
     for n in range(2, bound + 2 if probe_extra else bound + 1):
-        members = ball(n, k, model, max_states=max_states)
+        members = list(map(bytes, ball(n, k, model, max_states=max_states)))
         inside = frozenset(members)
         found = _minimal_nonmembers_at(n, inside, shorter, inside_shorter)
         if n <= bound:
@@ -120,12 +117,15 @@ def basis_via_poset_descent(
 ) -> BasisReport:
     """Compute the same basis by descending the pattern poset from the top.
 
-    Start from every permutation of the bound length outside the ball; a
-    candidate whose deletions all fall inside the ball is a basis element,
-    otherwise its outside deletions are the next candidates. Every shorter
-    non-member is the deletion of some non-member one level up, so the
-    descent reaches the whole basis. Disagreement with basis() signals a bug
-    in the distance engine or the pattern machinery.
+    The frontier starts as every permutation of the bound length outside
+    the ball, scanned lazily. A frontier p whose last-entry deletion lies
+    outside the ball is not minimal, and that deletion joins the next
+    frontier; otherwise p is a basis element exactly when all its deletions
+    lie inside, a test that stops at the first one outside. Each frontier is
+    exactly the non-members of its length: a non-member q of length m is the
+    last-entry deletion of q followed by m + 1, a non-member because the
+    ball is a class. Disagreement with basis() signals a bug in the distance
+    engine or the pattern machinery.
     """
     model = Model.coerce(model)
     bound = element_length(k, model)
@@ -137,10 +137,12 @@ def basis_via_poset_descent(
         inside_shorter = frozenset(_members(n - 1, k, model, max_states))
         descend: set[bytes] = set()
         for p in frontier:
-            outside = core._deletions(p) - inside_shorter
-            if outside:
-                descend |= outside
-            else:
+            last = p[:-1].translate(core._RESCALE[p[-1]])
+            if last not in inside_shorter:
+                descend.add(last)
+            elif inside_shorter.issuperset(
+                map(p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p))
+            ):
                 found.add(p)
         frontier = descend
     return BasisReport(

@@ -13,8 +13,8 @@ are accepted on input; the compact form is emitted whenever n <= 9.
 Inside the structure routes a permutation of length <= 255 may also be held
 as bytes, one entry per byte, which sort and hash in C. The relabelling
 tables ``_RESCALE`` and ``_BUMP`` turn a deletion or an insertion into one
-``bytes.translate`` call; ``_deletions`` works on bytes, and the public
-``one_point_deletions`` builds tuples from it.
+``bytes.translate`` call. ``one_point_deletions`` and ``is_plus_irreducible``
+accept either form; the deletions come back in the form they were given.
 """
 
 from __future__ import annotations
@@ -201,18 +201,13 @@ _ONE = [_BYTES[v : v + 1] for v in range(256)]
 _BUMP = [_BYTES[:v] + _BYTES[v + 1 :] + _BYTES[:1] for v in range(256)]
 
 
-def _deletions(b: bytes) -> set[bytes]:
-    """The distinct one-point deletions of a permutation held as bytes, one
-    entry per byte, each rescaled in one ``bytes.translate`` call."""
-    return {b.translate(_RESCALE[v], _ONE[v]) for v in b}
-
-
-def one_point_deletions(p: Perm) -> tuple[Perm, ...]:
+def one_point_deletions(p: Perm | bytes) -> tuple[Perm, ...] | tuple[bytes, ...]:
     """All distinct permutations obtained by deleting one entry and rescaling.
 
-    Permutations of length <= 255 are handled as bytes, whose sort order
-    matches the tuples' since all deletions have one length; longer ones
-    take the plain tuple route.
+    Accepts bytes with one entry per byte as well as tuples, and returns the
+    deletions sorted, in the same form. Up to 255 entries each deletion is
+    one ``bytes.translate`` call, and the bytes sort like the tuples since
+    all deletions have one length; longer tuples take the plain tuple route.
 
     >>> one_point_deletions((1, 3, 2, 4))
     ((1, 2, 3), (1, 3, 2), (2, 1, 3))
@@ -224,7 +219,9 @@ def one_point_deletions(p: Perm) -> tuple[Perm, ...]:
             tuple(x - (x > removed) for j, x in enumerate(p) if j != i)
             for i, removed in enumerate(p)
         }))
-    return tuple(map(tuple, sorted(_deletions(bytes(p)))))
+    b = bytes(p)
+    deletions = sorted({b.translate(_RESCALE[v], _ONE[v]) for v in b})
+    return tuple(deletions) if isinstance(p, bytes) else tuple(map(tuple, deletions))
 
 
 def monotone_inflate(p: Perm, v: Iterable[int]) -> Perm:

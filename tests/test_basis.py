@@ -7,6 +7,7 @@ import pytest
 from permball import core, models
 from permball.basis import basis, basis_via_poset_descent, verify_class_closure
 from permball.core import BudgetError, contains_pattern, one_point_deletions, parse_perm, perm_set
+from permball.genset import element_length
 from permball.models import Model
 
 TD_K1 = perm_set(parse_perm(t) for t in "321 2143 2413 3142".split())
@@ -143,6 +144,24 @@ def test_routes_agree_on_ptd_k3():
     elements = basis(3, "ptd").elements
     assert len(elements) == 188
     assert elements == basis_via_poset_descent(3, "ptd").elements
+
+
+def test_descent_frontier_is_every_shorter_non_member():
+    # the poset descent keeps only last-entry deletions: those of the
+    # non-members of length n that fall outside the ball must be all the
+    # non-members of length n - 1, or the descent would miss basis elements
+    def delete_last(p):
+        return tuple(x - (x > p[-1]) for x in p[:-1])
+
+    for model, k in [(Model.BLOCK, k) for k in (1, 2)] + [(Model.PREFIX, k) for k in (1, 2, 3)]:
+        bound = element_length(k, model)
+        shorter = set(models.ball(1, k, model))
+        for n in range(2, bound + 1):
+            inside = set(models.ball(n, k, model))
+            outside_shorter = set(all_perms(n - 1)) - shorter
+            descended = {delete_last(p) for p in all_perms(n) if p not in inside} - shorter
+            assert descended == outside_shorter, (model, k, n)
+            shorter = inside
 
 
 def test_bases_are_closed_under_the_model_symmetries():

@@ -183,6 +183,14 @@ def test_one_point_deletions_examples():
     assert one_point_deletions((1, 2)) == ((1,),)
     with pytest.raises(ValueError):
         one_point_deletions(())
+    # bytes in, bytes out: deleting 1, 3, 2 or 4 from 1324 leaves 213, 123,
+    # 123 and 132, three distinct deletions, sorted
+    assert one_point_deletions(bytes((1, 3, 2, 4))) == (
+        bytes((1, 2, 3)), bytes((1, 3, 2)), bytes((2, 1, 3))
+    )
+    assert one_point_deletions(b"\x01") == (b"",)
+    with pytest.raises(ValueError):
+        one_point_deletions(b"")
 
 
 def test_deletions_are_patterns():

@@ -283,7 +283,7 @@ def test_block_distance_of_the_reversal():
         for n in (9, 10):
             assert distance(tuple(range(n, 0, -1)), "td") == n // 2 + 1, n
     finally:
-        models._reset_caches()  # later tests expect length 9 untouched
+        models._reset_caches()  # later tests need not hold the n = 9, 10 tables
 
 
 def test_prefix_refines_block():
@@ -403,10 +403,12 @@ def test_ball_nesting():
 
 
 def test_ball_caps():
+    # budgets bound new search work, cached levels are returned as-is, so
+    # start from empty caches for the length-9 budget to bind whatever ran
+    # before this test
+    models._reset_caches()
     with pytest.raises(BudgetError):
         ball(17, 1, "td")  # longer than the 16-entry packed code
-    # length 9 is untouched by other tests, so the budget must bind here;
-    # budgets bound new search work, cached levels are returned as-is
     with pytest.raises(BudgetError):
         ball(9, 1, "td", max_states=3)
     with pytest.raises(ValueError):

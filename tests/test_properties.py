@@ -47,6 +47,7 @@ def test_pairwise_distance_obeys_the_triangle_inequality(model, triple):
 @given(perms(1, 20))
 def test_deletions_match_the_tuple_reference_on_drawn_permutations(p):
     assert one_point_deletions(p) == deletions_reference(p)
+    assert one_point_deletions(bytes(p)) == tuple(map(bytes, one_point_deletions(p)))
 
 
 @fixed(100)
