@@ -6,9 +6,10 @@ The ball of radius k (everything within k operations of sorted, over all
 lengths) is the union of the inflation classes of finitely many generating
 permutations: its maximal plus-irreducible members. They all share one
 length, 3k+1 for block transpositions and 2k+1 for prefix ones, so two very
-different computations must land on the same set: filtering by exact
-distance, and growing generation k+1 from generation k by local inflation
-steps.
+different computations must land on the same set: applying k operations
+to sorted that each break as many adjacencies as one operation can (three
+for block transpositions, two for prefix ones), and growing generation k+1
+from generation k by local inflation steps.
 """
 
 from itertools import permutations

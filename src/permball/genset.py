@@ -6,22 +6,25 @@ monotone-inflation classes of finitely many "generating" permutations: its
 maximal plus-irreducible members. For the block model these have length
 3k+1; for the prefix model, length 2k+1.
 
-Two independent routes compute the same sets. The direct route keeps the
-plus-irreducible members at distance exactly k at the right length: it reads
-them off the level table as bytes, tests them there, and builds tuples only
-for the generating permutations. The constructive route grows generation k+1
-from generation k: for the block model, inflate three chosen positions into
-strips and break all of them with one transposition; for the prefix model,
-apply one of three shape-preserving inflation steps (one per relative
-arrangement of the two chosen entries). The prefix steps are uniquely
-invertible, which is what makes the prefix generating sets countable in
-closed form ((2k)!/2^k).
+Two independent routes compute the same sets. The direct route needs no
+search table: a plus-irreducible permutation of the right length has a
+breakpoint at every internal position, so every shortest path to one adds
+the most breakpoints an operation can. The route applies those
+breakpoint-saturating operations k times to the identity, level by level
+on bytes. The constructive route grows generation k+1 from generation k:
+for the block model, inflate three chosen positions into strips and break
+all of them with one transposition; for the prefix model, apply one of
+three shape-preserving inflation steps (one per relative arrangement of
+the two chosen entries). The prefix steps are uniquely invertible, which is
+what makes the prefix generating sets countable in closed form
+((2k)!/2^k).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -269,16 +272,41 @@ def generating_set_constructive(
 def generating_set_direct(
     k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> GeneratingSetReport:
-    """Filter the members of ball k at the target length down to the plus
-    irreducible ones at distance exactly k (outside ball k-1).
+    """Apply k breakpoint-saturating operations to the identity of length
+    m = ck+1, level by level on bytes; c = 3 for the block model and 2 for
+    the prefix model, whose front cut is the left end.
 
-    The members at distance exactly k are read off the level table as bytes
-    and tested there; only the survivors become tuples.
+    Call an internal position i < m with p[i+1] != p[i]+1 a breakpoint, and
+    an adjacency otherwise. An operation keeps the pairs inside its blocks
+    and replaces only those at its internal cuts, at most c, so it changes
+    the breakpoint count by at most c and d(p) >= ceil(b/c) (Bafna and
+    Pevzner 1998). A generator has all ck internal positions as
+    breakpoints, so it lies at distance exactly k, and each step of a
+    shortest path to it cuts at c adjacencies and forms c breakpoints.
+    Cutting at adjacencies forms only breakpoints: a new pair (p[a-1], p[b])
+    with p[b] = p[a-1]+1 = p[a] would need a = b. So each level applies
+    every operation whose cuts are all adjacencies, and level k is exactly
+    the plus-irreducible members of the ball at length m.
+
+    Refuses before any work when the bound on the children, the sum over
+    levels j <= k of the products over i < j of C(m-1-ci, c), exceeds the
+    budget.
     """
     model = Model.coerce(model)
     target = element_length(k, model)
-    sphere = models._members(target, k, model, max_states, exact=True)
-    elements = tuple(map(tuple, sorted(filter(core.is_plus_irreducible, sphere))))
+    cuts = 3 if model is Model.BLOCK else 2
+    front = () if model is Model.BLOCK else (0,)  # the prefix cut at the left end
+    widths = (math.comb(target - 1 - cuts * i, cuts) for i in range(k))
+    core.check_budget(sum(itertools.accumulate(widths, operator.mul)), max_states)
+    level = {bytes(range(1, target + 1))}
+    for _ in range(k):
+        grown: set[bytes] = set()
+        for p in level:
+            joins = [a for a in range(1, target) if p[a] == p[a - 1] + 1]
+            for a, b, c in (front + t for t in itertools.combinations(joins, cuts)):
+                grown.add(p[:a] + p[b:c] + p[a:b] + p[c:])
+        level = grown
+    elements = tuple(map(tuple, sorted(level)))
     return GeneratingSetReport(
         k=k, model=model, method="direct", elements=elements, element_length=target
     )

@@ -26,9 +26,9 @@ a refusal never leaves a partial BFS level or a memo entry behind, while
 whole levels finished before it stay cached. The tables and the memo are
 process-wide and unsynchronised, so the engine is single-threaded.
 
-``_members`` reads a ball, or only its members at distance exactly k, off the
-level table once, as bytes with one entry per byte; the structure routes
-work on those bytes, and ``ball`` builds the tuples.
+``_members`` reads a ball off the level table once, as bytes with one entry
+per byte; the basis routes work on those bytes, and ``ball`` builds the
+tuples.
 """
 
 from __future__ import annotations
@@ -315,12 +315,9 @@ def pairwise_distance(
     return distance(relabeled, model, max_states=max_states)
 
 
-def _members(
-    n: int, k: int, model: Model | str, max_states: int | None, *, exact: bool = False
-) -> list[bytes]:
-    """The distinct members of the ball (only those at distance exactly k
-    when ``exact``), unordered and as bytes, read off the level table after
-    growing it to depth k."""
+def _members(n: int, k: int, model: Model | str, max_states: int | None) -> list[bytes]:
+    """The distinct members of the ball, unordered and as bytes, read off the
+    level table after growing it to depth k."""
     model = Model.coerce(model)
     if n < 0:
         raise ValueError("negative length")
@@ -329,12 +326,11 @@ def _members(
     if n > _PACK_MAX:
         raise BudgetError(f"ball construction supports length <= {_PACK_MAX}")
     if n == 0:
-        return [b""] if k == 0 or not exact else []
+        return [b""]
     table = _table(n, model)
     while table.depth < k and table.grow(max_states):
         pass
-    nearest = k if exact else 0
-    return [_unpack_bytes(code, n) for code, d in table.dist.items() if nearest <= d <= k]
+    return [_unpack_bytes(code, n) for code, d in table.dist.items() if d <= k]
 
 
 def ball(

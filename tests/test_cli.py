@@ -55,6 +55,21 @@ def test_genset_command(capsys):
     assert payload["result"]["count"] == 90
 
 
+def test_genset_reaches_past_the_published_radii(capsys):
+    # the direct route needs no level table, so these fit the default budget
+    for model, k, count in (("td", "4", 26251), ("ptd", "5", 113400)):
+        code, payload, _ = run_json(capsys, "genset", "--model", model, "-k", k)
+        assert code == 0
+        assert payload["result"]["count"] == count
+
+    # td k=5 would generate up to 344,844,955 children: refused before any work
+    started = time.perf_counter()
+    code, _, err = run(capsys, "genset", "--model", "td", "-k", "5")
+    assert code == 3
+    assert "refused" in err
+    assert time.perf_counter() - started < 1
+
+
 def test_basis_command(capsys):
     code, payload, _ = run_json(capsys, "basis", "--model", "td", "-k", "1")
     assert code == 0

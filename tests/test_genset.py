@@ -128,6 +128,38 @@ def test_direct_route_selects_by_distance_not_table_depth():
         assert generating_set_direct(k, model).elements == old_filter(k, model), (model, k)
 
 
+def test_direct_route_equals_the_plus_irreducible_sphere_at_td_k3():
+    # every plus-irreducible permutation of length 10 lies at distance >= 3,
+    # so the generators are exactly those in ball(10, 3) \ ball(10, 2)
+    models._reset_caches()
+    closer = frozenset(models.ball(10, 2, "td"))
+    sphere = tuple(
+        p for p in models.ball(10, 3, "td") if core.is_plus_irreducible(p) and p not in closer
+    )
+    models._reset_caches()
+    assert len(sphere) == 369
+    assert generating_set_direct(3, "td").elements == sphere
+
+
+def test_routes_agree_past_the_published_radii():
+    for model, k, count in (("td", 4, 26251), ("ptd", 5, 113400)):
+        direct = generating_set_direct(k, model)
+        assert len(direct.elements) == count
+        assert direct.elements == generating_set_constructive(k, model).elements
+
+
+def test_direct_route_budget_is_its_children_bound():
+    # td k=3: 84 + 84 * 20 + 84 * 20 * 1; ptd k=4: 28 + 28 * 15 + 420 * 6 + 2520 * 1
+    for model, k, bound in (("td", 3, 3444), ("ptd", 4, 5488)):
+        assert generating_set_direct(k, model, max_states=bound).elements
+        with pytest.raises(BudgetError):
+            generating_set_direct(k, model, max_states=bound - 1)
+    with pytest.raises(BudgetError):
+        generating_set_direct(5, "td")  # 344,844,955 children
+    with pytest.raises(BudgetError):
+        generating_set_direct(6, "ptd")  # 16,302,396 children
+
+
 def test_generators_have_exact_distance_and_shape():
     for model, k, step in ((Model.BLOCK, 2, 3), (Model.PREFIX, 3, 2)):
         report = generating_set_constructive(k, model)

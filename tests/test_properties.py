@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permball import models
-from permball.core import one_point_deletions
+from permball.core import monotone_inflate, one_point_deletions
 from permball.models import apply_transposition, distance, pairwise_distance, transposition_triples
 from test_core import deletions_reference
 from test_models import full_table
@@ -57,3 +57,28 @@ def test_distance_matches_the_full_table_at_length_8(model, p):
     # search, from cold caches every time
     models._reset_caches()
     assert distance(p, model) == full_table(8, model)[models._pack(p)]
+
+
+def internal_breakpoints(p):
+    return sum(p[i + 1] != p[i] + 1 for i in range(len(p) - 1))
+
+
+#: Monotone inflations up to length 12, rich in adjacencies.
+inflated = perms(1, 6).flatmap(lambda q: st.lists(
+    st.integers(1, 2), min_size=len(q), max_size=len(q)
+).map(lambda v: monotone_inflate(q, v))).filter(lambda p: len(p) >= 2)
+
+
+@fixed(100)
+@given(st.sampled_from(models.Model), st.one_of(perms(2, 12), inflated))
+def test_one_operation_changes_the_internal_breakpoints_by_at_most_its_cut_count(model, p):
+    # the lemma behind generating_set_direct: at most 3 internal cuts (td) or
+    # 2 (ptd), and cutting at c adjacencies always adds exactly c breakpoints
+    c = 3 if model is models.Model.BLOCK else 2
+    before = internal_breakpoints(p)
+    for t in transposition_triples(len(p), model):
+        change = internal_breakpoints(apply_transposition(p, t)) - before
+        assert abs(change) <= c
+        cuts = [x - 1 for x in t if 1 < x <= len(p)]
+        if len(cuts) == c and all(p[b] == p[b - 1] + 1 for b in cuts):
+            assert change == c
