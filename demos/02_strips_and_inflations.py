@@ -5,11 +5,12 @@ Strips, reduction, and monotone inflation
 A strip is a maximal run of consecutive increasing values sitting in
 consecutive positions. Collapsing every strip to a point gives the
 reduction; replacing points by increasing runs gives monotone inflations.
-These two moves are inverse in spirit, and block-transposition distance
-only ever sees the reduction.
+These two moves are inverse in spirit, and the block- and
+prefix-transposition distances only ever see the reduction.
 """
 
 from permball import (
+    ball,
     distance,
     format_perm,
     mi_member,
@@ -23,7 +24,11 @@ from permball import (
 p = parse_perm("435612789")
 print("strips of 435612789:", strips(p))
 print("reduction:", format_perm(reduce(p)))
-print("td distance agrees:", distance(p, "td"), "==", distance(reduce(p), "td"))
+# Both models answer on the reduction, which provably keeps the distance;
+# the balls of the full length, which reduce nothing, agree.
+for model in ("td", "ptd"):
+    radius = next(j for j in range(len(p)) if p in ball(len(p), j, model))
+    print(f"{model} distance agrees: {distance(p, model)} == first ball radius {radius}")
 
 # Inflating 41352 through run lengths (0, 2, 1, 3, 2): the first point
 # disappears, the others blow up into runs of the prescribed lengths.

@@ -217,15 +217,6 @@ class GeneratingSetReport:
     elements: tuple[Perm, ...]
     element_length: int
 
-    def __post_init__(self) -> None:
-        if self.elements != core.perm_set(self.elements):
-            raise ValueError("elements must be deduplicated and sorted")
-        for e in self.elements:
-            if len(e) != self.element_length:
-                raise ValueError(f"{e!r} does not have length {self.element_length}")
-            if not core.is_plus_irreducible(e):
-                raise ValueError(f"{e!r} is not plus irreducible")
-
 
 def element_length(k: int, model: Model | str) -> int:
     """Length of the generating permutations of B_k, 3k+1 (block model) or

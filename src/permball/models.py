@@ -6,25 +6,27 @@ left block is a prefix. Every operation has an inverse of the same kind, so
 the one-step relation is symmetric and distances to the identity can be read
 off a breadth-first expansion from the identity.
 
-All distances returned here are exact. One BFS table from the identity per
-(length, model), grown lazily and cached for the whole process, answers
-small lengths outright, holds every ball, and is the identity side of the
-memoized bidirectional search used for longer single queries. That search
-ends at the first state both sides have reached: the identity table holds
-whole BFS levels, so the first meet already has the exact distance. Only the
-throwaway table rooted at the query may stop mid-level; the cached identity
-table always finishes a level. The query side expands the states with the
-fewest breakpoints first, so the meet comes within the first few of them
-and a query's work hardly depends on which permutation it is. Every BFS
-step builds a state's children from its 4-bit packed code by bit masks and
-shifts, one mask tuple per cut-point triple. Results never depend on which
-path answered. State budgets bound search work: an answer already in the
-cache is returned as-is, and the two sides of a bidirectional search share
-one budget that counts only the states the search adds, not the cached ones.
-A budget refuses during expansion, as soon as the visited states exceed it;
-a refusal never leaves a partial BFS level or a memo entry behind, while
-whole levels finished before it stay cached. The tables and the memo are
-process-wide and unsynchronised, so the engine is single-threaded.
+All distances returned here are exact. A query of either model is answered
+on its strip reduction, which has the same distance (proved in
+``distance``). One BFS table from the identity per (length, model), grown
+lazily and cached for the whole process, answers small lengths outright,
+holds every ball, and is the identity side of the memoized bidirectional
+search used for longer single queries. That search ends at the first state
+both sides have reached: the identity table holds whole BFS levels, so the
+first meet already has the exact distance. Only the throwaway table rooted
+at the query may stop mid-level; the cached identity table always finishes a
+level. The query side expands the states with the fewest breakpoints first,
+so the meet comes within the first few of them and a query's work hardly
+depends on which permutation it is. Every BFS step builds a state's children
+from its 4-bit packed code by bit masks and shifts, one mask tuple per
+cut-point triple. Results never depend on which path answered. State budgets
+bound search work: an answer already in the cache is returned as-is, and the
+two sides of a bidirectional search share one budget that counts only the
+states the search adds, not the cached ones. A budget refuses during
+expansion, as soon as the visited states exceed it; a refusal never leaves a
+partial BFS level or a memo entry behind, while whole levels finished before
+it stay cached. The tables and the memo are process-wide and unsynchronised,
+so the engine is single-threaded.
 
 ``_members`` reads a ball off the level table once, as bytes with one entry
 per byte; the basis routes work on those bytes, and ``ball`` builds the
@@ -275,17 +277,24 @@ def distance(
 ) -> int:
     """Exact minimum number of operations transforming ``p`` into the identity.
 
-    Block-model queries are answered on reduce(p): collapsing strips never
-    changes the block-transposition distance. Prefix-model queries are never
-    reduced (that invariance is an empirical observation, not a guarantee
-    this engine relies on).
+    Queries of both models are answered on reduce(p), which has the same
+    distance:
+
+    - (<=) Each entry of reduce(p) stands for one strip of ``p``. A sorting
+      sequence for reduce(p) lifts to ``p`` by cutting only at strip
+      boundaries, and a prefix cut stays a prefix cut. It leaves the strips
+      in value order, which is the identity.
+    - (>=) reduce(p) is a pattern of ``p``. Restricted to a subsequence, each
+      operation of a sorting sequence for ``p`` stays one of its kind (a
+      prefix stays a prefix) or leaves the subsequence unchanged, so it sorts
+      the pattern in no more steps.
+
+    A reduced permutation of length 2 or more is never the identity.
     """
     model = Model.coerce(model)
-    p = tuple(p)
-    if model is Model.BLOCK:
-        p = core.reduce(p)
+    p = core.reduce(tuple(p))
     n = len(p)
-    if p == core.identity(n):
+    if n <= 1:
         return 0
     if n > _PACK_MAX:
         raise BudgetError(f"distance queries support length <= {_PACK_MAX}")

@@ -160,22 +160,16 @@ def _check_breakpoint_bound(top: int, golden, max_states):
     )
 
 
-def _check_reduction_invariance(top: int, golden, max_states):
-    td = partial(models.distance, model=Model.BLOCK, max_states=max_states)
-    return _swept(top, lambda p: td(p) != td(core.reduce(p)), f"exhaustive for n <= {top}")
+def _check_reduction_invariance(model: Model, top: int, golden, max_states):
+    # The engine answers on the reduction; the radius of p itself is read off
+    # the unreduced level table, so a wrong reduction shows.
+    ball_at = cache(lambda n, j: frozenset(ball(n, j, model, max_states=max_states)))
+    dist = partial(models.distance, model=model, max_states=max_states)
 
+    def radius(p: Perm) -> int | None:
+        return next((j for j in range(len(p) + 1) if p in ball_at(len(p), j)), None)
 
-def _check_ptd_reduction_empirical(top: int, golden, max_states):
-    # Not a promised identity: a failure here is an observation about the
-    # model, not an engine bug, and is reported as such.
-    ptd = partial(models.distance, model=Model.PREFIX, max_states=max_states)
-    return _swept(
-        top,
-        lambda p: ptd(p) != ptd(core.reduce(p)),
-        f"holds empirically for n <= {top} (no guarantee implied)",
-        "empirical observation only: first counterexample {}"
-        " (this diagnoses the model, not the engine)",
-    )
+    return _swept(top, lambda p: dist(p) != radius(p), f"exhaustive for n <= {top}")
 
 
 def _check_model_refinement(top: int, golden, max_states):
@@ -303,19 +297,17 @@ def _registry(model_tags: list[Model], k: int, max_n: int) -> list[tuple[str, Ca
             (f"ball-characterization-{tag}",
              partial(_check_ball_characterization, model, top_k, top7 if td else top6)),
             (f"basis-properties-{tag}", partial(_check_basis_properties, model, top_k)),
+            (f"reduction-invariance-{tag}",
+             partial(_check_reduction_invariance, model, top7 if td else top6)),
         ]
     if Model.BLOCK in model_tags:
         checks += [
             ("breakpoint-bound-td", partial(_check_breakpoint_bound, top7)),
-            ("reduction-invariance-td", partial(_check_reduction_invariance, top7)),
             ("one-step-inflation-closure", partial(_check_one_step_closure, top6)),
             ("transposition-inverse", partial(_check_transposition_inverse, top6)),
         ]
     if Model.PREFIX in model_tags:
-        checks += [
-            ("reduction-invariance-ptd-empirical", partial(_check_ptd_reduction_empirical, top6)),
-            ("ptd-parent-uniqueness", partial(_check_ptd_parents, min(max(k, 2), 3))),
-        ]
+        checks.append(("ptd-parent-uniqueness", partial(_check_ptd_parents, min(max(k, 2), 3))))
     if len(model_tags) == 2:
         checks.append(("model-refinement", partial(_check_model_refinement, top6)))
     checks.append(("plus-irreducible-counts", partial(_check_counts, min(max(max_n + 1, 7), 8))))

@@ -295,13 +295,12 @@ def test_verify_check_names_and_order():
     assert [name for name, _ in both] == [
         "golden-genset-td-k1", "golden-genset-td-k2", "golden-basis-td-k1",
         "basis-probe-td-k1", "left-invariance-td", "ball-closure-td",
-        "ball-characterization-td", "basis-properties-td",
+        "ball-characterization-td", "basis-properties-td", "reduction-invariance-td",
         "golden-genset-ptd-k1", "golden-genset-ptd-k2", "genset-cardinality-ptd-k3",
         "golden-basis-ptd-k1", "golden-basis-ptd-k2", "basis-probe-ptd-k1",
         "basis-probe-ptd-k2", "left-invariance-ptd", "ball-closure-ptd",
-        "ball-characterization-ptd", "basis-properties-ptd",
-        "breakpoint-bound-td", "reduction-invariance-td", "one-step-inflation-closure",
-        "transposition-inverse", "reduction-invariance-ptd-empirical",
+        "ball-characterization-ptd", "basis-properties-ptd", "reduction-invariance-ptd",
+        "breakpoint-bound-td", "one-step-inflation-closure", "transposition-inverse",
         "ptd-parent-uniqueness", "model-refinement", "plus-irreducible-counts",
         "worked-examples",
     ]
@@ -309,7 +308,7 @@ def test_verify_check_names_and_order():
     assert [name for name, _ in td_only] == [
         "golden-genset-td-k1", "golden-basis-td-k1", "basis-probe-td-k1",
         "left-invariance-td", "ball-closure-td", "ball-characterization-td",
-        "basis-properties-td", "breakpoint-bound-td", "reduction-invariance-td",
+        "basis-properties-td", "reduction-invariance-td", "breakpoint-bound-td",
         "one-step-inflation-closure", "transposition-inverse", "plus-irreducible-counts",
         "worked-examples",
     ]
@@ -317,7 +316,7 @@ def test_verify_check_names_and_order():
 
 @pytest.mark.parametrize("broken, failing", [
     ("td", ("breakpoint-bound-td", "reduction-invariance-td")),
-    ("ptd", ("reduction-invariance-ptd-empirical", "model-refinement")),
+    ("ptd", ("reduction-invariance-ptd", "model-refinement")),
 ])
 def test_verify_sweeps_name_the_permutation_they_fail_on(monkeypatch, broken, failing):
     # a distance of 0 for 231 (true distance 1 in both models, reduction 21)
@@ -339,6 +338,24 @@ def test_verify_sweeps_name_the_permutation_they_fail_on(monkeypatch, broken, fa
     )
     checks = {r.name: r for r in results}
     for name in failing:
+        assert checks[name].status == "FAIL", name
+        assert "231" in checks[name].detail, name
+
+
+def test_verify_reduction_checks_catch_a_wrong_reduction(monkeypatch):
+    # an idempotent but wrong reduction sends every permutation with a strip
+    # to 1; distance then answers 0 for 231 (true distance 1 in both models),
+    # which only an oracle that never reduces can see
+    from permball import core, verify
+    from permball.models import Model
+
+    real = core.reduce
+    monkeypatch.setattr(core, "reduce", lambda p: (1,) if real(p) != tuple(p) else tuple(p))
+    results = verify.run_verification(
+        [Model.BLOCK, Model.PREFIX], 1, 4, verify.load_golden(), max_states=None
+    )
+    checks = {r.name: r for r in results}
+    for name in ("reduction-invariance-td", "reduction-invariance-ptd"):
         assert checks[name].status == "FAIL", name
         assert "231" in checks[name].detail, name
 

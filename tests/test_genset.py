@@ -7,7 +7,6 @@ import pytest
 from permball import core, genset, models
 from permball.core import BudgetError, identity, parse_perm, perm_set
 from permball.genset import (
-    GeneratingSetReport,
     PtdCase,
     generating_set,
     generating_set_constructive,
@@ -207,11 +206,17 @@ def test_constructive_refuses_inside_the_generation_loop(monkeypatch):
     assert 0 < calls < 369 * 220
 
 
-def test_report_validation():
-    with pytest.raises(ValueError):
-        GeneratingSetReport(1, Model.BLOCK, "direct", ((1, 2),), 2)  # reducible
-    with pytest.raises(ValueError):
-        GeneratingSetReport(1, Model.BLOCK, "direct", ((2, 1),), 3)  # wrong length
+def test_route_postconditions():
+    # a report does not re-check its elements, so each route must return
+    # them sorted, distinct, plus irreducible and of the element length
+    for model, top in ((Model.BLOCK, 3), (Model.PREFIX, 4)):
+        for k in range(1, top + 1):
+            length = genset.element_length(k, model)
+            for route in (generating_set_direct, generating_set_constructive):
+                elements = route(k, model).elements
+                assert elements == perm_set(elements), (route.__name__, model, k)
+                for e in elements:
+                    assert len(e) == length and core.is_plus_irreducible(e), (route.__name__, e)
 
 
 # --- prefix-model inflation steps -----------------------------------------------

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from permball import core, models
-from permball.core import BudgetError, identity, parse_perm, reduce
+from permball.core import BudgetError, identity, parse_perm
 from permball.models import (
     Model,
     apply_transposition,
@@ -263,10 +263,14 @@ def test_bidirectional_answers_from_the_identity_table():
         assert models._bidirectional(tuple(models._unpack_bytes(code, 8)), Model.BLOCK, None) == d
 
 
-def test_block_reduction_invariance_exhaustive():
-    for n in range(1, 8):
+@pytest.mark.parametrize("model, top", [("td", 7), ("ptd", 6)])
+def test_reduction_invariance_exhaustive(model, top):
+    # distance answers on the reduction; the radius at which the unreduced
+    # ball first holds p does not, so a wrong reduction shows
+    for n in range(1, top + 1):
+        balls = [frozenset(ball(n, j, model)) for j in range(n + 1)]
         for p in all_perms(n):
-            assert distance(p, "td") == distance(reduce(p), "td")
+            assert distance(p, model) == next(j for j, b in enumerate(balls) if p in b), p
 
 
 def test_breakpoint_lower_bound_exhaustive():
@@ -292,21 +296,13 @@ def test_prefix_refines_block():
             assert distance(p, "td") <= distance(p, "ptd")
 
 
-def test_prefix_reduction_invariance_empirical():
-    # Unlike the block model, this is not a promised identity; a failure here
-    # is an observation about the model, not an engine bug, so say so.
-    for n in range(1, 7):
-        for p in all_perms(n):
-            if distance(p, "ptd") != distance(reduce(p), "ptd"):
-                pytest.fail(
-                    f"prefix distance changed under strip reduction at {p}: "
-                    "this diagnoses the model itself, not the engine"
-                )
-
-
 def test_distance_caps():
-    with pytest.raises(BudgetError):
-        distance(tuple(range(17, 0, -1)), "td")
+    # the packed code bounds the reduction, not the query
+    long_with_short_reduction = tuple(range(11, 21)) + tuple(range(1, 11))
+    for m in ("td", "ptd"):
+        assert distance(long_with_short_reduction, m) == 1
+        with pytest.raises(BudgetError):
+            distance(tuple(range(17, 0, -1)), m)
     # length 9 keeps this on the bidirectional path with a fresh cache
     with pytest.raises(BudgetError):
         distance((9, 8, 7, 6, 5, 4, 3, 2, 1), "ptd", max_states=10)
