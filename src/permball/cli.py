@@ -101,14 +101,16 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     max_states = args.max_states
     if hasattr(args, "perm"):
         p = core.parse_perm(args.perm)
-        if len(p) > models._PACK_MAX:
-            raise BudgetError(f"length {len(p)} exceeds the supported length {models._PACK_MAX}")
 
     if args.command == "distance":
+        # distance refuses a reduction longer than the packed code itself
         d = models.distance(p, args.model, max_states=max_states)
         return {"distance": d}, EXIT_OK
 
     if args.command == "neighbors":
+        # neighbors has no length bound of its own
+        if len(p) > models._PACK_MAX:
+            raise BudgetError(f"length {len(p)} exceeds the supported length {models._PACK_MAX}")
         found = models.neighbors(p, args.model)
         result: dict[str, Any] = {"count": len(found)}
         if not args.count_only:

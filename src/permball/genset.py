@@ -11,26 +11,56 @@ search table: a plus-irreducible permutation of the right length has a
 breakpoint at every internal position, so every shortest path to one adds
 the most breakpoints an operation can. The route applies those
 breakpoint-saturating operations k times to the identity, level by level
-on bytes. The constructive route grows generation k+1 from generation k:
-for the block model, inflate three chosen positions into strips and break
-all of them with one transposition; for the prefix model, apply one of
-three shape-preserving inflation steps (one per relative arrangement of
-the two chosen entries). The prefix steps are uniquely invertible, which is
-what makes the prefix generating sets countable in closed form
-((2k)!/2^k).
+on bytes. The constructive route grows generation k+1 from generation k by
+one strip-break rule for both models: inflate c chosen positions (repeats
+allowed, so a position chosen twice gains two points) and break every new
+strip with one operation. The block model chooses c = 3 positions
+i <= j <= k and cuts at (i+1, j+2, k+3); the prefix model chooses c = 2
+positions i <= j and cuts at (1, i+1, j+2), its front cut at the left end.
+The prefix steps are uniquely invertible, so generation j has C(2j, 2)
+children per parent and none collide: the prefix generating sets count
+(2k)!/2^k, the product of C(2j, 2) over the generations j = 1..k.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import core, models
+from . import core
 from .core import DEFAULT_MAX_STATES, Perm
 from .models import Model
+
+#: The shape of one operation: c, the number of cuts it places freely, and
+#: its fixed front cut as a 0-based slice offset (the prefix model's left end).
+_SHAPES = {Model.BLOCK: (3, ()), Model.PREFIX: (2, (0,))}
+
+
+def _strip_break(p: Perm, indices: tuple[int, ...], model: Model) -> tuple[Perm, Perm]:
+    """Inflate the chosen positions of ``p`` and break the new strips with one
+    operation of ``model``; returns (inflated, broken).
+
+    ``indices`` is non-decreasing and may repeat: each occurrence of a
+    position adds one point to its strip and cuts it once more, after its
+    first point, then after its second. So the r-th chosen position t (from
+    r = 0) gives the 1-based cut point t + 1 + r, after the model's front
+    cut. An entry x moves up by the number of chosen values below it.
+    """
+    chosen = sorted(p[t - 1] for t in indices)
+    shifted = [x + bisect.bisect_left(chosen, x) for x in p]
+    inflated: list[int] = []
+    start = 0
+    for t in indices:
+        inflated += shifted[start:t]
+        inflated.append(inflated[-1] + 1)
+        start = t
+    q = (*inflated, *shifted[start:])
+    a, b, c = _SHAPES[model][1] + tuple(t + r for r, t in enumerate(indices))
+    return q, q[:a] + q[b:c] + q[a:b] + q[c:]
 
 
 def index_multisets(n: int) -> Iterator[tuple[int, int, int]]:
@@ -57,12 +87,7 @@ def td_inflate(p: Perm, indices: tuple[int, int, int]) -> tuple[Perm, Perm]:
     i, j, k = indices
     if not (1 <= i <= j <= k <= len(p)):
         raise ValueError(f"indices {indices!r} out of range for length {len(p)}")
-    v = [1] * len(p)
-    for t in indices:
-        v[t - 1] += 1
-    inflated = core.monotone_inflate(p, v)
-    broken = models.apply_transposition(inflated, (i + 1, j + 2, k + 3))
-    return inflated, broken
+    return _strip_break(p, indices, Model.BLOCK)
 
 
 @dataclass(frozen=True)
@@ -93,28 +118,41 @@ class PtdCase:
             raise ValueError("positions are 1-based")
 
 
+def _ptd_case(p: Perm, i: int, j: int) -> PtdCase:
+    """The case of the chosen positions i <= j of ``p``, its kind read off the
+    value order."""
+    if i == j:
+        return PtdCase(3, i)
+    return PtdCase(1 if p[i - 1] < p[j - 1] else 2, i, j)
+
+
 def ptd_cases(p: Perm) -> Iterator[PtdCase]:
-    """Every valid inflation case for parent ``p``: one per position pair
-    (kind decided by the value order) plus one per single position."""
-    n = len(p)
-    for pos_a in range(1, n + 1):
-        yield PtdCase(3, pos_a)
-    for pos_a, pos_b in itertools.combinations(range(1, n + 1), 2):
-        kind = 1 if p[pos_a - 1] < p[pos_b - 1] else 2
-        yield PtdCase(kind, pos_a, pos_b)
+    """Every inflation case for parent ``p``: one per multiset {i <= j} of
+    positions, C(n+1, 2) in all."""
+    for i, j in itertools.combinations_with_replacement(range(1, len(p) + 1), 2):
+        yield _ptd_case(p, i, j)
 
 
 def ptd_inflate(p: Perm, case: PtdCase) -> Perm:
-    """Apply one prefix-model inflation step to ``p``.
+    """Apply one prefix-model inflation step to ``p``: inflate the chosen
+    positions i = pos_a <= j (pos_b, or pos_a again for kind 3) and cut at
+    (1, i+1, j+2).
 
     Writing a for the value at pos_a (and b at pos_b), with head/mid/tail the
-    entries before, between and after the chosen positions:
+    entries before, between and after the chosen positions, the step gives
+    these closed forms:
 
     kind 1 (a < b): (a+1) mid (b+1) head a (b+2) tail, where entries strictly
         between a and b shift up by 1 and entries above b by 2;
     kind 2 (a > b): (a+2) mid b head (a+1) (b+1) tail, with entries strictly
         between b and a up by 1 and entries above a by 2;
     kind 3 (single a): (a+1) head a (a+2) tail, with entries above a up by 2.
+
+    Each is the strip-break: the inflation turns a into a strip of two
+    points (three for kind 3) and b into a strip of two, and the cut moves
+    the prefix that ends at the first point of a's strip behind the block
+    that follows it up to the first point of b's strip (the second point of
+    a's, for kind 3).
 
     The result is two longer than ``p`` and plus irreducible whenever ``p``
     is a generating permutation.
@@ -124,84 +162,38 @@ def ptd_inflate(p: Perm, case: PtdCase) -> Perm:
     """
     if not core.is_plus_irreducible(p):
         raise ValueError(f"{p!r} is not plus irreducible")
-    n = len(p)
-    if not 1 <= case.pos_a <= n or (case.pos_b is not None and case.pos_b > n):
-        raise ValueError(f"case positions {case} out of range for length {n}")
-    ai = case.pos_a - 1
-    if case.kind == 3:
-        a = p[ai]
-        bump = lambda x: x + 2 if x > a else x
-        head = [bump(x) for x in p[:ai]]
-        tail = [bump(x) for x in p[ai + 1 :]]
-        return (a + 1, *head, a, a + 2, *tail)
-    bi = case.pos_b - 1
-    a, b = p[ai], p[bi]
-    head, mid, tail = p[:ai], p[ai + 1 : bi], p[bi + 1 :]
-    if case.kind == 1:
-        if not a < b:
-            raise ValueError(f"case 1 needs increasing values, got {a} then {b}")
-        bump = lambda x: x + 2 if x > b else x + 1 if x > a else x
-        return (a + 1, *map(bump, mid), b + 1, *map(bump, head), a, b + 2, *map(bump, tail))
-    if not a > b:
-        raise ValueError(f"case 2 needs decreasing values, got {a} then {b}")
-    bump = lambda x: x + 2 if x > a else x + 1 if x > b else x
-    return (a + 2, *map(bump, mid), b, *map(bump, head), a + 1, b + 1, *map(bump, tail))
+    i, j = case.pos_a, case.pos_b or case.pos_a
+    if j > len(p):
+        raise ValueError(f"case positions {case} out of range for length {len(p)}")
+    if _ptd_case(p, i, j) != case:
+        raise ValueError(f"case {case} does not match the value order of {p!r}")
+    return _strip_break(p, (i, j), Model.PREFIX)[1]
 
 
 def ptd_parent(child: Perm) -> tuple[Perm, PtdCase]:
     """Invert a prefix-model inflation step: recover the unique (parent, case)
     with ptd_inflate(parent, case) == child.
 
-    The case is read off the first entry s1 and the entry to the right of
-    s1 - 1: at least s1 + 2 means kind 1, at most s1 - 2 means kind 2,
-    exactly s1 + 1 means kind 3. (No generating permutation starts with 1,
-    and its last entry is its maximum, so the probe is always in range.)
-    Raises ValueError when ``child`` is not the result of any step.
+    The step moved a prefix that ends in s1 - 1 behind a block that now leads
+    with s1, the first entry; that block ends with the value one below the
+    entry r right after s1 - 1. Exchanging the two blocks back and deleting
+    the two added points, s1 and r, gives the parent; the chosen positions
+    are where s1 - 1 and the block's last entry land. Raises ValueError when
+    ``child`` is not the result of any step.
     """
-    s = tuple(child)
-    n = len(s)
-    if n < 3:
-        raise ValueError(f"{s!r} is too short to be an inflation result")
-    if s[0] == 1:
-        raise ValueError("a generating permutation cannot start with 1")
-    if not core.is_plus_irreducible(s):
-        raise ValueError(f"{s!r} is not plus irreducible")
-    first = s[0]
-    marker = s.index(first - 1)
-    if marker == n - 1:
-        raise ValueError(f"{s!r} is not obtainable by any inflation step")
-    right = s[marker + 1]
+    s = core.check_perm(child)
     try:
-        if right == first + 1:
-            a = first - 1
-            drop = lambda x: x - 2 if x > a + 2 else x
-            head, tail = s[1:marker], s[marker + 2 :]
-            parent = (*map(drop, head), a, *map(drop, tail))
-            case = PtdCase(3, len(head) + 1)
-        elif right >= first + 2:
-            a, b = first - 1, right - 2
-            split = s.index(b + 1)
-            if not 0 < split < marker:
-                raise ValueError
-            mid, head, tail = s[1:split], s[split + 1 : marker], s[marker + 2 :]
-            drop = lambda x: x - 2 if x > b + 2 else x - 1 if x > a + 1 else x
-            parent = (*map(drop, head), a, *map(drop, mid), b, *map(drop, tail))
-            case = PtdCase(1, len(head) + 1, len(head) + len(mid) + 2)
-        else:
-            a, b = first - 2, right - 1
-            if b < 1:
-                raise ValueError
-            split = s.index(b)
-            if not 0 < split < marker:
-                raise ValueError
-            mid, head, tail = s[1:split], s[split + 1 : marker], s[marker + 2 :]
-            drop = lambda x: x - 2 if x > a + 2 else x - 1 if x > b + 1 else x
-            parent = (*map(drop, head), a, *map(drop, mid), b, *map(drop, tail))
-            case = PtdCase(2, len(head) + 1, len(head) + len(mid) + 2)
-        parent = core.check_perm(parent)
+        end = s.index(s[0] - 1)  # the moved prefix s[split+1..end] ends here
+        right = s[end + 1]
+        split = s.index(right - 1)  # the block s[0..split] in front of it ends here
+        if not split < end:
+            raise ValueError
+        q = s[split + 1 : end + 1] + s[: split + 1] + s[end + 1 :]
+        parent = tuple(x - (x > s[0]) - (x > right) for x in q if x != s[0] and x != right)
+        case = _ptd_case(parent, end - split, end)
         if ptd_inflate(parent, case) != s:
             raise ValueError
-    except ValueError:
+    except (IndexError, ValueError):
         raise ValueError(f"{s!r} is not obtainable by any inflation step") from None
     return parent, case
 
@@ -224,14 +216,15 @@ def element_length(k: int, model: Model | str) -> int:
     model = Model.coerce(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    return (3 if model is Model.BLOCK else 2) * k + 1
+    return _SHAPES[model][0] * k + 1
 
 
 def generating_set_constructive(
     k: int, model: Model | str, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> GeneratingSetReport:
     """Grow the generating set recursively from the length-1 identity,
-    applying every inflation step k times and deduplicating.
+    applying the strip-break to every multiset of c positions of every
+    parent, k times, and deduplicating.
 
     The block-model steps can produce the same permutation several times;
     the prefix-model steps never collide (each result has a unique parent).
@@ -239,16 +232,13 @@ def generating_set_constructive(
     """
     model = Model.coerce(model)
     target = element_length(k, model)
+    c = _SHAPES[model][0]
     current: set[Perm] = {(1,)}
     for _ in range(k):
         grown: set[Perm] = set()
         for parent in current:
-            if model is Model.BLOCK:
-                for indices in index_multisets(len(parent)):
-                    grown.add(td_inflate(parent, indices)[1])
-            else:
-                for case in ptd_cases(parent):
-                    grown.add(ptd_inflate(parent, case))
+            for indices in itertools.combinations_with_replacement(range(1, len(parent) + 1), c):
+                grown.add(_strip_break(parent, indices, model)[1])
             core.check_budget(len(grown), max_states)
         current = grown
     return GeneratingSetReport(
@@ -285,8 +275,7 @@ def generating_set_direct(
     """
     model = Model.coerce(model)
     target = element_length(k, model)
-    cuts = 3 if model is Model.BLOCK else 2
-    front = () if model is Model.BLOCK else (0,)  # the prefix cut at the left end
+    cuts, front = _SHAPES[model]
     widths = (math.comb(target - 1 - cuts * i, cuts) for i in range(k))
     core.check_budget(sum(itertools.accumulate(widths, operator.mul)), max_states)
     level = {bytes(range(1, target + 1))}

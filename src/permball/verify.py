@@ -237,7 +237,10 @@ def _check_ptd_parents(top_k: int, golden, max_states):
     }
     for j in range(2, top_k + 1):
         for child in reports[j].elements:
-            parent, case = genset.ptd_parent(child)
+            try:
+                parent, case = genset.ptd_parent(child)
+            except ValueError:  # ptd_parent's "not obtainable" answer
+                return False, f"no parent found for {core.format_perm(child)}"
             if genset.ptd_inflate(parent, case) != child:
                 return False, f"reconstruction failed for {core.format_perm(child)}"
             if parent not in reports[j - 1].elements:

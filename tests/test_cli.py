@@ -38,6 +38,18 @@ def test_distance_command(capsys):
     assert payload["result"]["distance"] == 0
 
 
+def test_distance_answers_long_input_with_a_short_reduction(capsys):
+    # the rotation has 20 entries but reduces to 21, one operation from sorted
+    rotation = ",".join(str(v) for v in (*range(11, 21), *range(1, 11)))
+    for model in ("td", "ptd"):
+        code, payload, _ = run_json(capsys, "distance", "--model", model, rotation)
+        assert code == 0
+        assert payload["result"]["distance"] == 1
+        code, out, _ = run(capsys, "distance", "--model", model, rotation)
+        assert code == 0
+        assert "distance: 1" in out.splitlines()
+
+
 def test_genset_command(capsys):
     code, payload, _ = run_json(capsys, "genset", "--model", "td", "-k", "2")
     assert code == 0
@@ -358,6 +370,27 @@ def test_verify_reduction_checks_catch_a_wrong_reduction(monkeypatch):
     for name in ("reduction-invariance-td", "reduction-invariance-ptd"):
         assert checks[name].status == "FAIL", name
         assert "231" in checks[name].detail, name
+
+
+def test_verify_reports_a_missing_ptd_parent_as_a_failure(monkeypatch):
+    # ptd_parent's "not obtainable" answer for a generator of G_2 must fail
+    # its check, naming the child, and not abort the run
+    from permball import genset, verify
+    from permball.models import Model
+
+    real = genset.ptd_parent
+
+    def rejecting(child):
+        if child == (4, 1, 3, 2, 5):
+            raise ValueError("not obtainable")
+        return real(child)
+
+    monkeypatch.setattr(genset, "ptd_parent", rejecting)
+    results = verify.run_verification([Model.PREFIX], 2, 4, verify.load_golden(), max_states=None)
+    checks = {r.name: r for r in results}
+    assert checks["ptd-parent-uniqueness"].status == "FAIL"
+    assert "41325" in checks["ptd-parent-uniqueness"].detail
+    assert checks["worked-examples"].status == "PASS"  # the checks after it still ran
 
 
 def test_verify_json_payload(capsys):

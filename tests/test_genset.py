@@ -192,15 +192,16 @@ def test_generating_set_caps():
 
 def test_constructive_refuses_inside_the_generation_loop(monkeypatch):
     # generation 4 of td grows from 369 parents with 220 index multisets each;
-    # a budget of 1000 must stop it long before all of them are inflated
+    # a budget of 1000 must stop it long before all of them are strip-broken
     calls = 0
+    strip_break = genset._strip_break
 
-    def counting(p, indices):
+    def counting(p, indices, model):
         nonlocal calls
         calls += 1
-        return td_inflate(p, indices)
+        return strip_break(p, indices, model)
 
-    monkeypatch.setattr(genset, "td_inflate", counting)
+    monkeypatch.setattr(genset, "_strip_break", counting)
     with pytest.raises(BudgetError):
         generating_set_constructive(4, "td", max_states=1000)
     assert 0 < calls < 369 * 220
@@ -281,6 +282,26 @@ def test_ptd_parent_inverts_every_inflation():
                 children.append(child)
         assert len(children) == len(set(children))  # no two steps collide
         parents = sorted(set(children))
+
+
+def test_ptd_parent_accepts_exactly_the_inflation_results():
+    # every child of every plus-irreducible parent, and nothing else in
+    # S_1..S_7, has a parent, and it is the one step that made the child
+    made = {}
+    for n in range(1, 6):
+        for p in core.enumerate_plus_irreducible(n):
+            for case in ptd_cases(p):
+                child = ptd_inflate(p, case)
+                assert child not in made  # no two steps collide
+                made[child] = (p, case)
+    assert sum(len(c) == 7 for c in made) == 795
+    for n in range(1, 8):
+        for s in all_perms(n):
+            if s in made:
+                assert ptd_parent(s) == made[s]
+            else:
+                with pytest.raises(ValueError):
+                    ptd_parent(s)
 
 
 def test_ptd_case_predicates_partition_generators():
