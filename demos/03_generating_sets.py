@@ -39,7 +39,7 @@ print("ptd k=3 size:", len(g90.elements))
 child = g90.elements[0]
 while len(child) > 1:
     parent, case = ptd_parent(child)
-    print(f"  {format_perm(child)} <- parent {format_perm(parent)} via case {case.kind}")
+    print(f"  {format_perm(child)} <- parent {format_perm(parent)} at positions {case}")
     child = parent
 
 # Membership in the ball is exactly membership in some generator's

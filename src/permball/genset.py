@@ -68,6 +68,22 @@ def index_multisets(n: int) -> Iterator[tuple[int, int, int]]:
     return itertools.combinations_with_replacement(range(1, n + 1), 3)
 
 
+def _checked_step(p: Perm, indices: tuple[int, ...], model: Model) -> tuple[Perm, Perm]:
+    """The strip-break of one public inflation step, after checking that
+    ``p`` is a plus-irreducible permutation and ``indices`` are c
+    non-decreasing positions in 1..n."""
+    p = core.check_perm(p)
+    if not core.is_plus_irreducible(p):
+        raise ValueError(f"{p!r} is not plus irreducible")
+    indices = tuple(indices)
+    c = _SHAPES[model][0]
+    if len(indices) != c:
+        raise ValueError(f"a {model.value} step takes {c} positions, got {indices!r}")
+    if not all(map(operator.le, (1, *indices), (*indices, len(p)))):
+        raise ValueError(f"positions {indices!r} are not non-decreasing in 1..{len(p)}")
+    return _strip_break(p, indices, model)
+
+
 def td_inflate(p: Perm, indices: tuple[int, int, int]) -> tuple[Perm, Perm]:
     """Inflate three chosen positions of a plus-irreducible ``p`` into strips
     and break them with the unique block transposition that does so.
@@ -82,95 +98,45 @@ def td_inflate(p: Perm, indices: tuple[int, int, int]) -> tuple[Perm, Perm]:
     >>> td_inflate((1, 3, 2, 4), (2, 2, 4))
     ((1, 3, 4, 5, 2, 6, 7), (1, 3, 5, 2, 6, 4, 7))
     """
-    if not core.is_plus_irreducible(p):
-        raise ValueError(f"{p!r} is not plus irreducible")
-    i, j, k = indices
-    if not (1 <= i <= j <= k <= len(p)):
-        raise ValueError(f"indices {indices!r} out of range for length {len(p)}")
-    return _strip_break(p, indices, Model.BLOCK)
+    return _checked_step(p, indices, Model.BLOCK)
 
 
-@dataclass(frozen=True)
-class PtdCase:
-    """One prefix-model inflation step, identified by the relative arrangement
-    of the chosen entries and their positions in the parent.
-
-    kind 1: two entries, value at pos_a smaller than value at pos_b.
-    kind 2: two entries, value at pos_a larger than value at pos_b.
-    kind 3: a single entry at pos_a (pos_b is None).
-    Positions are 1-based and pos_a < pos_b where both are present.
-    """
-
-    kind: int
-    pos_a: int
-    pos_b: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (1, 2, 3):
-            raise ValueError(f"unknown case kind {self.kind}")
-        if self.kind == 3:
-            if self.pos_b is not None:
-                raise ValueError("single-entry case takes one position")
-        else:
-            if self.pos_b is None or not self.pos_a < self.pos_b:
-                raise ValueError("two-entry cases need pos_a < pos_b")
-        if self.pos_a < 1:
-            raise ValueError("positions are 1-based")
+def ptd_cases(p: Perm) -> Iterator[tuple[int, int]]:
+    """Every inflation case for parent ``p``: one per pair of positions
+    i <= j, C(n+1, 2) in all."""
+    return itertools.combinations_with_replacement(range(1, len(p) + 1), 2)
 
 
-def _ptd_case(p: Perm, i: int, j: int) -> PtdCase:
-    """The case of the chosen positions i <= j of ``p``, its kind read off the
-    value order."""
-    if i == j:
-        return PtdCase(3, i)
-    return PtdCase(1 if p[i - 1] < p[j - 1] else 2, i, j)
-
-
-def ptd_cases(p: Perm) -> Iterator[PtdCase]:
-    """Every inflation case for parent ``p``: one per multiset {i <= j} of
-    positions, C(n+1, 2) in all."""
-    for i, j in itertools.combinations_with_replacement(range(1, len(p) + 1), 2):
-        yield _ptd_case(p, i, j)
-
-
-def ptd_inflate(p: Perm, case: PtdCase) -> Perm:
+def ptd_inflate(p: Perm, case: tuple[int, int]) -> Perm:
     """Apply one prefix-model inflation step to ``p``: inflate the chosen
-    positions i = pos_a <= j (pos_b, or pos_a again for kind 3) and cut at
-    (1, i+1, j+2).
+    positions i <= j of ``case`` and cut at (1, i+1, j+2).
 
-    Writing a for the value at pos_a (and b at pos_b), with head/mid/tail the
+    Writing a for the value at i (and b at j), with head/mid/tail the
     entries before, between and after the chosen positions, the step gives
     these closed forms:
 
-    kind 1 (a < b): (a+1) mid (b+1) head a (b+2) tail, where entries strictly
+    a < b: (a+1) mid (b+1) head a (b+2) tail, where entries strictly
         between a and b shift up by 1 and entries above b by 2;
-    kind 2 (a > b): (a+2) mid b head (a+1) (b+1) tail, with entries strictly
+    a > b: (a+2) mid b head (a+1) (b+1) tail, with entries strictly
         between b and a up by 1 and entries above a by 2;
-    kind 3 (single a): (a+1) head a (a+2) tail, with entries above a up by 2.
+    i = j: (a+1) head a (a+2) tail, with entries above a up by 2.
 
     Each is the strip-break: the inflation turns a into a strip of two
-    points (three for kind 3) and b into a strip of two, and the cut moves
+    points (three when i = j) and b into a strip of two, and the cut moves
     the prefix that ends at the first point of a's strip behind the block
     that follows it up to the first point of b's strip (the second point of
-    a's, for kind 3).
+    a's, when i = j).
 
     The result is two longer than ``p`` and plus irreducible whenever ``p``
     is a generating permutation.
 
-    >>> ptd_inflate((2, 1, 3), PtdCase(3, 1))
+    >>> ptd_inflate((2, 1, 3), (1, 1))
     (3, 2, 4, 1, 5)
     """
-    if not core.is_plus_irreducible(p):
-        raise ValueError(f"{p!r} is not plus irreducible")
-    i, j = case.pos_a, case.pos_b or case.pos_a
-    if j > len(p):
-        raise ValueError(f"case positions {case} out of range for length {len(p)}")
-    if _ptd_case(p, i, j) != case:
-        raise ValueError(f"case {case} does not match the value order of {p!r}")
-    return _strip_break(p, (i, j), Model.PREFIX)[1]
+    return _checked_step(p, case, Model.PREFIX)[1]
 
 
-def ptd_parent(child: Perm) -> tuple[Perm, PtdCase]:
+def ptd_parent(child: Perm) -> tuple[Perm, tuple[int, int]]:
     """Invert a prefix-model inflation step: recover the unique (parent, case)
     with ptd_inflate(parent, case) == child.
 
@@ -190,7 +156,7 @@ def ptd_parent(child: Perm) -> tuple[Perm, PtdCase]:
             raise ValueError
         q = s[split + 1 : end + 1] + s[: split + 1] + s[end + 1 :]
         parent = tuple(x - (x > s[0]) - (x > right) for x in q if x != s[0] and x != right)
-        case = _ptd_case(parent, end - split, end)
+        case = (end - split, end)
         if ptd_inflate(parent, case) != s:
             raise ValueError
     except (IndexError, ValueError):

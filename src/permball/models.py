@@ -88,6 +88,7 @@ def neighbors(p: Perm, model: Model | str) -> tuple[Perm, ...]:
     differs from ``p``; deduplication still runs because distinct triples may
     coincide on some inputs.
     """
+    p = core.check_perm(p)
     if not p:
         raise ValueError("neighbors of the empty permutation are undefined")
     return core.perm_set(
@@ -292,7 +293,7 @@ def distance(
     A reduced permutation of length 2 or more is never the identity.
     """
     model = Model.coerce(model)
-    p = core.reduce(tuple(p))
+    p = core.reduce(core.check_perm(p))
     n = len(p)
     if n <= 1:
         return 0
@@ -317,6 +318,7 @@ def pairwise_distance(
     fixed permutation preserves the distance; composing with the inverse of
     ``p`` turns the question into a sorting distance.
     """
+    p, q = core.check_perm(p), core.check_perm(q)
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
     inv = core.invert(p)

@@ -7,7 +7,6 @@ import pytest
 from permball import core, genset, models
 from permball.core import BudgetError, identity, parse_perm, perm_set
 from permball.genset import (
-    PtdCase,
     generating_set,
     generating_set_constructive,
     generating_set_direct,
@@ -54,6 +53,12 @@ def test_td_inflate_errors():
         td_inflate((1, 2), (1, 1, 1))  # not plus irreducible
     with pytest.raises(ValueError):
         td_inflate((1,), (1, 1, 2))  # index out of range
+    with pytest.raises(ValueError):
+        td_inflate((5,), (1, 1, 1))  # not a permutation
+    with pytest.raises(ValueError):
+        td_inflate((1,), (1, 1))  # a block step takes three positions
+    with pytest.raises(ValueError):
+        td_inflate((2, 1), (2, 1, 2))  # positions decrease
 
 
 def test_td_inflate_structure_preservation():
@@ -225,24 +230,24 @@ def test_route_postconditions():
 
 def test_ptd_inflate_case_examples():
     base = parse_perm("213")
-    assert ptd_inflate(base, PtdCase(3, 1)) == parse_perm("32415")
-    assert ptd_inflate(base, PtdCase(1, 1, 3)) == parse_perm("31425")
-    assert ptd_inflate(base, PtdCase(2, 1, 2)) == parse_perm("41325")
+    assert ptd_inflate(base, (1, 1)) == parse_perm("32415")
+    assert ptd_inflate(base, (1, 3)) == parse_perm("31425")
+    assert ptd_inflate(base, (1, 2)) == parse_perm("41325")
 
 
 def test_ptd_inflate_validation():
     with pytest.raises(ValueError):
-        PtdCase(4, 1)
+        ptd_inflate((2, 1, 3), (4, 4))  # out of range
     with pytest.raises(ValueError):
-        PtdCase(1, 2, 1)  # positions must increase
+        ptd_inflate((2, 1, 3), (0, 1))  # positions are 1-based
     with pytest.raises(ValueError):
-        PtdCase(3, 1, 2)  # single-entry case takes one position
+        ptd_inflate((2, 1, 3), (2, 1))  # positions decrease
     with pytest.raises(ValueError):
-        ptd_inflate((2, 1, 3), PtdCase(3, 4))  # out of range
+        ptd_inflate((2, 1, 3), (1, 1, 1))  # a prefix step takes two positions
     with pytest.raises(ValueError):
-        ptd_inflate((2, 1, 3), PtdCase(1, 1, 2))  # values decrease there
+        ptd_inflate((2, 2, 3), (1, 1))  # not a permutation
     with pytest.raises(ValueError):
-        ptd_inflate((1, 2, 3), PtdCase(3, 1))  # not plus irreducible
+        ptd_inflate((1, 2, 3), (1, 1))  # not plus irreducible
 
 
 def test_ptd_case_enumeration_covers_all_pairs():
@@ -255,10 +260,10 @@ def test_ptd_case_enumeration_covers_all_pairs():
 
 
 def test_ptd_parent_examples():
-    assert ptd_parent(parse_perm("32415")) == (parse_perm("213"), PtdCase(3, 1))
-    assert ptd_parent(parse_perm("31425")) == (parse_perm("213"), PtdCase(1, 1, 3))
-    assert ptd_parent(parse_perm("41325")) == (parse_perm("213"), PtdCase(2, 1, 2))
-    assert ptd_parent(parse_perm("213")) == ((1,), PtdCase(3, 1))
+    assert ptd_parent(parse_perm("32415")) == (parse_perm("213"), (1, 1))
+    assert ptd_parent(parse_perm("31425")) == (parse_perm("213"), (1, 3))
+    assert ptd_parent(parse_perm("41325")) == (parse_perm("213"), (1, 2))
+    assert ptd_parent(parse_perm("213")) == ((1,), (1, 1))
 
 
 def test_ptd_parent_rejects_non_children():

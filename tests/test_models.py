@@ -321,6 +321,22 @@ def test_pairwise_reduces_to_sorting_distance():
         pairwise_distance((1, 2), (1,), "td")
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda: distance((2, 3), "td"),
+        lambda: distance((1, 1, 2), "td"),
+        lambda: pairwise_distance((1, 1, 2), (1, 2, 3), "td"),
+        lambda: pairwise_distance((2, 3), (1, 2), "td"),
+        lambda: neighbors((2, 3), "ptd"),
+    ],
+    ids=["distance-23", "distance-112", "pairwise-112", "pairwise-23", "neighbors-23"],
+)
+def test_engine_entry_points_reject_non_permutations(query):
+    with pytest.raises(ValueError, match="not a permutation"):
+        query()
+
+
 def compose(f, g):
     return tuple(f[x - 1] for x in g)
 

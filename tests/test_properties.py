@@ -1,4 +1,5 @@
-"""Property tests: distance invariants and deletions on drawn permutations.
+"""Property tests: distance invariants, symmetries and deletions on drawn
+permutations.
 
 Seeds are fixed (``derandomize``) and example counts capped, so every run
 draws the same inputs and the file stays within a few seconds.
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permball import models
-from permball.core import monotone_inflate, one_point_deletions
+from permball.core import invert, monotone_inflate, one_point_deletions
 from permball.models import apply_transposition, distance, pairwise_distance, transposition_triples
 from test_core import deletions_reference
 from test_models import full_table
@@ -41,6 +42,32 @@ def test_pairwise_distance_obeys_the_triangle_inequality(model, triple):
     p, q, r = triple
     via_q = pairwise_distance(p, q, model) + pairwise_distance(q, r, model)
     assert pairwise_distance(p, r, model) <= via_q
+
+
+def reverse_complement(p):
+    return tuple(len(p) + 1 - x for x in reversed(p))
+
+
+@fixed(60)
+@given(perms(1, 8))
+def test_td_distance_is_unchanged_under_inverse_and_reverse_complement(p):
+    d = distance(p, "td")
+    assert distance(invert(p), "td") == d
+    assert distance(reverse_complement(p), "td") == d
+
+
+@fixed(60)
+@given(perms(1, 8))
+def test_ptd_distance_is_unchanged_under_inverse(p):
+    # the inverse of a prefix transposition is again one
+    assert distance(invert(p), "ptd") == distance(p, "ptd")
+
+
+def test_ptd_distance_changes_under_reverse_complement():
+    # reverse-complement turns a prefix into a suffix, so it is a td-only symmetry
+    assert reverse_complement((1, 3, 2)) == (2, 1, 3)
+    assert distance((1, 3, 2), "ptd") == 2
+    assert distance((2, 1, 3), "ptd") == 1
 
 
 @fixed(200)
