@@ -130,7 +130,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
             "k": report.k,
             "model": report.model.value,
             "method": report.method,
-            "element_length": report.element_length,
+            "element_length": genset.element_length(report.k, report.model),
             "count": len(report.elements),
             "elements": [core.format_perm(q) for q in report.elements],
         }, EXIT_OK

@@ -329,22 +329,4 @@ def enumerate_plus_irreducible(
     if n < 0:
         raise ValueError("negative length")
     check_budget(plus_irreducible_count(n - 1) if n else 1, max_states)
-    out: list[Perm] = []
-    chosen: list[int] = []
-    used = [False] * (n + 1)
-
-    def build() -> None:
-        if len(chosen) == n:
-            out.append(tuple(chosen))
-            return
-        for v in range(1, n + 1):
-            if used[v] or (chosen and v == chosen[-1] + 1):
-                continue
-            used[v] = True
-            chosen.append(v)
-            build()
-            chosen.pop()
-            used[v] = False
-
-    build()
-    return tuple(out)
+    return tuple(filter(is_plus_irreducible, all_perms(n)))

@@ -17,6 +17,8 @@ allowed, so a position chosen twice gains two points) and break every new
 strip with one operation. The block model chooses c = 3 positions
 i <= j <= k and cuts at (i+1, j+2, k+3); the prefix model chooses c = 2
 positions i <= j and cuts at (1, i+1, j+2), its front cut at the left end.
+Both routes read c and the front cut from ``Model.shape`` and cut with
+``apply_transposition``; both step functions return the broken child.
 The prefix steps are uniquely invertible, so generation j has C(2j, 2)
 children per parent and none collide: the prefix generating sets count
 (2k)!/2^k, the product of C(2j, 2) over the generations j = 1..k.
@@ -33,22 +35,19 @@ from typing import Iterator
 
 from . import core
 from .core import DEFAULT_MAX_STATES, Perm
-from .models import Model
-
-#: The shape of one operation: c, the number of cuts it places freely, and
-#: its fixed front cut as a 0-based slice offset (the prefix model's left end).
-_SHAPES = {Model.BLOCK: (3, ()), Model.PREFIX: (2, (0,))}
+from .models import Model, apply_transposition
 
 
-def _strip_break(p: Perm, indices: tuple[int, ...], model: Model) -> tuple[Perm, Perm]:
+def _strip_break(p: Perm, indices: tuple[int, ...], model: Model) -> Perm:
     """Inflate the chosen positions of ``p`` and break the new strips with one
-    operation of ``model``; returns (inflated, broken).
+    operation of ``model``; returns the broken child.
 
     ``indices`` is non-decreasing and may repeat: each occurrence of a
     position adds one point to its strip and cuts it once more, after its
     first point, then after its second. So the r-th chosen position t (from
     r = 0) gives the 1-based cut point t + 1 + r, after the model's front
-    cut. An entry x moves up by the number of chosen values below it.
+    cut (``Model.shape``). An entry x moves up by the number of chosen
+    values below it.
     """
     chosen = sorted(p[t - 1] for t in indices)
     shifted = [x + bisect.bisect_left(chosen, x) for x in p]
@@ -58,9 +57,8 @@ def _strip_break(p: Perm, indices: tuple[int, ...], model: Model) -> tuple[Perm,
         inflated += shifted[start:t]
         inflated.append(inflated[-1] + 1)
         start = t
-    q = (*inflated, *shifted[start:])
-    a, b, c = _SHAPES[model][1] + tuple(t + r for r, t in enumerate(indices))
-    return q, q[:a] + q[b:c] + q[a:b] + q[c:]
+    cuts = tuple(t + r for r, t in enumerate(indices, start=1))
+    return apply_transposition((*inflated, *shifted[start:]), model.shape[1] + cuts)
 
 
 def index_multisets(n: int) -> Iterator[tuple[int, int, int]]:
@@ -68,7 +66,7 @@ def index_multisets(n: int) -> Iterator[tuple[int, int, int]]:
     return itertools.combinations_with_replacement(range(1, n + 1), 3)
 
 
-def _checked_step(p: Perm, indices: tuple[int, ...], model: Model) -> tuple[Perm, Perm]:
+def _checked_step(p: Perm, indices: tuple[int, ...], model: Model) -> Perm:
     """The strip-break of one public inflation step, after checking that
     ``p`` is a plus-irreducible permutation and ``indices`` are c
     non-decreasing positions in 1..n."""
@@ -76,7 +74,7 @@ def _checked_step(p: Perm, indices: tuple[int, ...], model: Model) -> tuple[Perm
     if not core.is_plus_irreducible(p):
         raise ValueError(f"{p!r} is not plus irreducible")
     indices = tuple(indices)
-    c = _SHAPES[model][0]
+    c = model.shape[0]
     if len(indices) != c:
         raise ValueError(f"a {model.value} step takes {c} positions, got {indices!r}")
     if not all(map(operator.le, (1, *indices), (*indices, len(p)))):
@@ -84,19 +82,19 @@ def _checked_step(p: Perm, indices: tuple[int, ...], model: Model) -> tuple[Perm
     return _strip_break(p, indices, model)
 
 
-def td_inflate(p: Perm, indices: tuple[int, int, int]) -> tuple[Perm, Perm]:
+def td_inflate(p: Perm, indices: tuple[int, int, int]) -> Perm:
     """Inflate three chosen positions of a plus-irreducible ``p`` into strips
     and break them with the unique block transposition that does so.
 
     Positions may repeat: each occurrence adds one extra point, so distinct
     positions become strips of length 2, a doubled position a strip of
     length 3, a tripled one a strip of length 4. The breaking transposition
-    has cut points (i+1, j+2, k+3). Returns (inflated, broken); ``broken`` is
-    again plus irreducible, three longer than ``p``, and keeps a leading 1
-    and trailing maximum when ``p`` has them.
+    has cut points (i+1, j+2, k+3). Returns the broken child, which is again
+    plus irreducible, three longer than ``p``, and keeps a leading 1 and
+    trailing maximum when ``p`` has them.
 
     >>> td_inflate((1, 3, 2, 4), (2, 2, 4))
-    ((1, 3, 4, 5, 2, 6, 7), (1, 3, 5, 2, 6, 4, 7))
+    (1, 3, 5, 2, 6, 4, 7)
     """
     return _checked_step(p, indices, Model.BLOCK)
 
@@ -133,7 +131,7 @@ def ptd_inflate(p: Perm, case: tuple[int, int]) -> Perm:
     >>> ptd_inflate((2, 1, 3), (1, 1))
     (3, 2, 4, 1, 5)
     """
-    return _checked_step(p, case, Model.PREFIX)[1]
+    return _checked_step(p, case, Model.PREFIX)
 
 
 def ptd_parent(child: Perm) -> tuple[Perm, tuple[int, int]]:
@@ -173,7 +171,6 @@ class GeneratingSetReport:
     model: Model
     method: str
     elements: tuple[Perm, ...]
-    element_length: int
 
 
 def element_length(k: int, model: Model | str) -> int:
@@ -182,7 +179,7 @@ def element_length(k: int, model: Model | str) -> int:
     model = Model.coerce(model)
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _SHAPES[model][0] * k + 1
+    return model.shape[0] * k + 1
 
 
 def generating_set_constructive(
@@ -197,23 +194,17 @@ def generating_set_constructive(
     The budget caps each generation and is checked after each parent.
     """
     model = Model.coerce(model)
-    target = element_length(k, model)
-    c = _SHAPES[model][0]
+    element_length(k, model)  # checks k
+    c = model.shape[0]
     current: set[Perm] = {(1,)}
     for _ in range(k):
         grown: set[Perm] = set()
         for parent in current:
             for indices in itertools.combinations_with_replacement(range(1, len(parent) + 1), c):
-                grown.add(_strip_break(parent, indices, model)[1])
+                grown.add(_strip_break(parent, indices, model))
             core.check_budget(len(grown), max_states)
         current = grown
-    return GeneratingSetReport(
-        k=k,
-        model=model,
-        method="constructive",
-        elements=core.perm_set(current),
-        element_length=target,
-    )
+    return GeneratingSetReport(k, model, "constructive", core.perm_set(current))
 
 
 def generating_set_direct(
@@ -241,21 +232,18 @@ def generating_set_direct(
     """
     model = Model.coerce(model)
     target = element_length(k, model)
-    cuts, front = _SHAPES[model]
-    widths = (math.comb(target - 1 - cuts * i, cuts) for i in range(k))
+    c, front = model.shape
+    widths = (math.comb(target - 1 - c * i, c) for i in range(k))
     core.check_budget(sum(itertools.accumulate(widths, operator.mul)), max_states)
     level = {bytes(range(1, target + 1))}
     for _ in range(k):
         grown: set[bytes] = set()
         for p in level:
-            joins = [a for a in range(1, target) if p[a] == p[a - 1] + 1]
-            for a, b, c in (front + t for t in itertools.combinations(joins, cuts)):
-                grown.add(p[:a] + p[b:c] + p[a:b] + p[c:])
+            joins = [a + 1 for a in range(1, target) if p[a] == p[a - 1] + 1]  # 1-based cuts
+            for cuts in itertools.combinations(joins, c):
+                grown.add(apply_transposition(p, front + cuts))
         level = grown
-    elements = tuple(map(tuple, sorted(level)))
-    return GeneratingSetReport(
-        k=k, model=model, method="direct", elements=elements, element_length=target
-    )
+    return GeneratingSetReport(k, model, "direct", tuple(map(tuple, sorted(level))))
 
 
 def generating_set(
@@ -283,16 +271,19 @@ def mi_union_member(p: Perm, report: GeneratingSetReport) -> bool:
 def mi_plus_one(
     base: Perm, n_max: int, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> tuple[Perm, ...]:
-    """Everything reachable by exactly one block transposition from any
-    monotone inflation of ``base``, materialized up to length ``n_max``.
+    """The union of the inflation classes of the strip-broken children
+    td_inflate(base, I), over every multiset I of three positions,
+    materialized from length 2 up to ``n_max``.
 
-    Computed without applying any transposition: one operation on an inflated
-    copy of ``base`` always lands inside the inflation class of some
-    strip-broken child td_inflate(base, I), and every such class is reached.
-    Operations need at least two entries, so nothing shorter than 2 appears.
-    Refuses up front when the inflation vectors to enumerate, C(b+2, 3) index
-    multisets times C(n_max+b+3, b+3) vectors each for b = len(base), exceed
-    ``max_states``.
+    These classes hold every one-step neighbour of the inflation class of
+    ``base`` (zero entries allowed, so patterns of ``base`` count): one block
+    transposition on an inflated copy of ``base`` lands in the class of some
+    child, and each child is such a neighbour. A class also holds every
+    pattern of its child, so the result is the pattern closure of those
+    neighbours and can hold more than them: from base (1,) it adds the
+    identities, which makes it the radius-1 ball. Refuses up front when the
+    inflation vectors to enumerate, C(b+2, 3) index multisets times
+    C(n_max+b+3, b+3) vectors each for b = len(base), exceed ``max_states``.
     """
     base = core.check_perm(base)
     if not core.is_plus_irreducible(base):
@@ -301,6 +292,5 @@ def mi_plus_one(
     core.check_budget(math.comb(b + 2, 3) * math.comb(n_max + b + 3, b + 3), max_states)
     out: set[Perm] = set()
     for indices in index_multisets(b):
-        _, broken = td_inflate(base, indices)
-        out.update(q for q in core.mi_members(broken, n_max) if len(q) >= 2)
+        out.update(q for q in core.mi_members(td_inflate(base, indices), n_max) if len(q) >= 2)
     return core.perm_set(out)

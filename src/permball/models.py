@@ -36,6 +36,7 @@ tuples.
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Callable, Container, Iterator
 
 from . import core
@@ -50,27 +51,24 @@ class Model(enum.Enum):
 
     @classmethod
     def coerce(cls, value: "Model | str") -> "Model":
-        if isinstance(value, Model):
-            return value
         return cls(value)
+
+    @property
+    def shape(self) -> tuple[int, tuple[int, ...]]:
+        """The form of one operation: c, the number of cut points it places
+        freely, and the 1-based cut points it fixes (the prefix's left end)."""
+        return (3, ()) if self is Model.BLOCK else (2, (1,))
 
 
 def transposition_triples(n: int, model: Model | str) -> Iterator[tuple[int, int, int]]:
-    """All valid cut-point triples for length ``n``, in lexicographic order."""
-    model = Model.coerce(model)
-    if model is Model.BLOCK:
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                for k in range(j + 1, n + 2):
-                    yield (i, j, k)
-    else:
-        for j in range(2, n + 1):
-            for k in range(j + 1, n + 2):
-                yield (1, j, k)
+    """All valid cut-point triples for length ``n``, in lexicographic order:
+    the model's fixed front cuts, then c increasing cuts in the rest of 1..n+1."""
+    c, front = Model.coerce(model).shape
+    return (front + t for t in itertools.combinations(range(len(front) + 1, n + 2), c))
 
 
 def apply_transposition(p: Perm, indices: tuple[int, int, int]) -> Perm:
-    """Exchange the adjacent blocks p[i..j-1] and p[j..k-1] (1-based cuts).
+    """Exchange the adjacent blocks p[i..j-1] and p[j..k-1] (1-based cuts) of a tuple or bytes.
 
     >>> apply_transposition((1, 3, 4, 5, 2, 6, 7), (3, 4, 7))
     (1, 3, 5, 2, 6, 4, 7)

@@ -145,7 +145,10 @@ def _check_worked_examples(golden, max_states):
     if core.monotone_inflate(base, vector) != inflated:
         return False, "monotone inflation example"
     base, indices, inflated, broken = strip_break
-    if genset.td_inflate(base, indices) != (inflated, broken):
+    vector = [1 + indices.count(t) for t in range(1, len(base) + 1)]
+    if core.monotone_inflate(base, vector) != inflated:
+        return False, "strip-break inflation example"
+    if genset.td_inflate(base, indices) != broken:
         return False, "strip-break construction example"
     for p, model, expected in distances:
         if models.distance(p, model, max_states=max_states) != expected:

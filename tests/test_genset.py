@@ -38,14 +38,11 @@ def all_perms(n):
 
 
 def test_td_inflate_worked_example():
-    assert td_inflate(parse_perm("1324"), (2, 2, 4)) == (
-        parse_perm("1345267"),
-        parse_perm("1352647"),
-    )
+    assert td_inflate(parse_perm("1324"), (2, 2, 4)) == parse_perm("1352647")
 
 
 def test_td_inflate_from_singleton():
-    assert td_inflate((1,), (1, 1, 1)) == (parse_perm("1234"), parse_perm("1324"))
+    assert td_inflate((1,), (1, 1, 1)) == parse_perm("1324")
 
 
 def test_td_inflate_errors():
@@ -65,14 +62,16 @@ def test_td_inflate_structure_preservation():
     # length +3, plus irreducible, endpoints preserved when extremal
     base = parse_perm("1324")
     for indices in index_multisets(4):
-        _, broken = td_inflate(base, indices)
+        broken = td_inflate(base, indices)
         assert len(broken) == 7
         assert core.is_plus_irreducible(broken)
         assert broken[0] == 1 and broken[-1] == 7
     for alpha in core.enumerate_plus_irreducible(4):
         for indices in index_multisets(4):
-            inflated, broken = td_inflate(alpha, indices)
+            vector = [1 + indices.count(t) for t in range(1, 5)]
+            inflated, broken = core.monotone_inflate(alpha, vector), td_inflate(alpha, indices)
             assert core.mi_member(inflated, alpha)
+            assert broken in models.neighbors(inflated, Model.BLOCK)
             assert core.is_plus_irreducible(broken)
             assert len(broken) == len(alpha) + 3
 
@@ -166,9 +165,9 @@ def test_direct_route_budget_is_its_children_bound():
 
 def test_generators_have_exact_distance_and_shape():
     for model, k, step in ((Model.BLOCK, 2, 3), (Model.PREFIX, 3, 2)):
-        report = generating_set_constructive(k, model)
-        assert report.element_length == step * k + 1
-        for g in report.elements:
+        assert genset.element_length(k, model) == step * k + 1
+        for g in generating_set_constructive(k, model).elements:
+            assert len(g) == genset.element_length(k, model)
             assert models.distance(g, model) == k
             assert core.is_plus_irreducible(g)
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -72,10 +73,14 @@ def test_transposition_inverse_identity_exhaustive():
 
 
 def test_prefix_triples_are_block_triples_with_i_1():
-    for n in range(1, 8):
-        block = set(transposition_triples(n, "td"))
-        prefix = set(transposition_triples(n, "ptd"))
-        assert prefix == {t for t in block if t[0] == 1}
+    # the order decides the level-table masks and the BFS discovery order
+    for n in range(17):
+        block = list(transposition_triples(n, "td"))
+        prefix = list(transposition_triples(n, "ptd"))
+        assert block == sorted(block) and len(block) == math.comb(n + 1, 3)
+        assert prefix == sorted(prefix) and len(prefix) == math.comb(n, 2)
+        assert all(t[0] == 1 for t in prefix)
+        assert set(prefix) == {t for t in block if t[0] == 1}
 
 
 # --- neighbors ------------------------------------------------------------------
