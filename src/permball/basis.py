@@ -49,26 +49,6 @@ class BasisReport:
     probe: BasisProbe | None = None
 
 
-def _minimal_nonmembers_at(
-    n: int, inside: frozenset[bytes], shorter: list[bytes], inside_shorter: frozenset[bytes]
-) -> list[Perm]:
-    """Basis elements of length n: outside the ball, with every deletion inside.
-
-    ``inside`` holds the ball members of length n, and ``shorter`` those of
-    length n - 1 (``inside_shorter`` as a set), all as bytes. Deleting the
-    last entry of such an element leaves a ball member of length n - 1, so
-    the candidates are the one-point extensions of those members by a new
-    last entry v; each permutation arises from exactly one pair (member, v).
-    """
-    found = []
-    for b in shorter:
-        for v in range(1, n + 1):
-            p = b.translate(core._BUMP[v]) + core._ONE[v]
-            if p not in inside and inside_shorter.issuperset(core.one_point_deletions(p)):
-                found.append(tuple(p))
-    return found
-
-
 def basis(
     k: int,
     model: Model | str,
@@ -78,9 +58,11 @@ def basis(
 ) -> BasisReport:
     """Compute the basis of B_k by one-point extension up to the length bound.
 
-    For each length n from 2 to the bound, the candidates are the ball
-    members of length n - 1, as bytes, extended by a new last entry; keep
-    those outside the ball whose one-point deletions all lie inside it. With
+    For each length n from 2 to the bound, a basis element lies outside the
+    ball with every one-point deletion inside. Deleting its last entry
+    leaves a ball member of length n - 1, so the candidates are those
+    members, as bytes, extended by a new last entry v; each permutation
+    arises from exactly one pair (member, v), so none is missed. With
     ``probe_extra`` the scan also covers one length above the bound and
     records the (expected empty) findings. Refuses up front when n! at the
     longest length exceeds ``max_states``: an over-estimate of the
@@ -97,7 +79,12 @@ def basis(
     for n in range(2, bound + 2 if probe_extra else bound + 1):
         members = list(map(bytes, ball(n, k, model, max_states=max_states)))
         inside = frozenset(members)
-        found = _minimal_nonmembers_at(n, inside, shorter, inside_shorter)
+        found: list[Perm] = []
+        for b in shorter:
+            for v in range(1, n + 1):
+                p = b.translate(core._BUMP[v]) + core._ONE[v]
+                if p not in inside and inside_shorter.issuperset(core.one_point_deletions(p)):
+                    found.append(tuple(p))
         if n <= bound:
             elements.extend(found)
         else:

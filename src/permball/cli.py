@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--model", choices=("td", "ptd"), default=None,
                    help="restrict to one model (default: both)")
-    p.add_argument("-k", type=int, default=2)
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("-k", type=_non_negative, default=2)
+    p.add_argument("--max-n", type=_non_negative, default=6)
     p.add_argument("--golden", default=None, help="path to an alternative expected-values file")
     _common(p)
 

@@ -267,22 +267,15 @@ def mi_member(p: Perm, base: Perm) -> bool:
 def mi_members(base: Perm, n_max: int) -> tuple[Perm, ...]:
     """Materialize every monotone inflation of ``base`` of length <= n_max,
     by direct enumeration of inflation vectors. The class itself is infinite;
-    this is the finite slice below the given length."""
+    this is the finite slice below the given length. An inflation vector
+    summing to t is a multiset of t positions, each counted as often as it
+    is picked."""
+    positions = range(len(base))
     members = set()
     for total in range(n_max + 1):
-        for v in _weak_compositions(len(base), total):
-            members.add(monotone_inflate(base, v))
+        for picks in itertools.combinations_with_replacement(positions, total):
+            members.add(monotone_inflate(base, map(picks.count, positions)))
     return tuple(sorted(members))
-
-
-def _weak_compositions(parts: int, total: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(parts - 1, total - first):
-            yield (first,) + rest
 
 
 def breakpoint_count(p: Perm) -> int:
@@ -297,12 +290,8 @@ def breakpoint_count(p: Perm) -> int:
     n = len(p)
     if n == 0:
         raise ValueError("breakpoints are undefined for the empty permutation")
-    count = sum(1 for i in range(n - 1) if p[i + 1] != p[i] + 1)
-    if p[0] != 1:
-        count += 1
-    if p[-1] != n:
-        count += 1
-    return count
+    # the internal breakpoints are the gaps between strips
+    return len(strips(p)) - 1 + (p[0] != 1) + (p[-1] != n)
 
 
 def plus_irreducible_count(n: int) -> int:

@@ -292,5 +292,6 @@ def mi_plus_one(
     core.check_budget(math.comb(b + 2, 3) * math.comb(n_max + b + 3, b + 3), max_states)
     out: set[Perm] = set()
     for indices in index_multisets(b):
-        out.update(q for q in core.mi_members(td_inflate(base, indices), n_max) if len(q) >= 2)
+        child = _strip_break(base, indices, Model.BLOCK)
+        out.update(q for q in core.mi_members(child, n_max) if len(q) >= 2)
     return core.perm_set(out)

@@ -119,40 +119,6 @@ def _unpack_bytes(code: int, n: int) -> bytes:
     return format(code, "x").zfill(n).encode()[::-1].translate(_HEX)
 
 
-def _expand(
-    frontier: list[int],
-    seen: dict[int, int],
-    depth: int,
-    n: int,
-    masks: list[tuple[int, int, int, int, int]],
-    max_states: int | None,
-    meet: Container[int] = (),
-) -> list[int]:
-    """Record every unseen child of ``frontier`` in ``seen`` at ``depth``;
-    return the new codes in discovery order.
-
-    The budget caps ``len(seen)`` and is checked after each expanded state.
-    On refusal the entries this call added are removed again, so ``seen`` is
-    left as it was found. A new child that is in ``meet`` ends the call at
-    once and is the last code returned; the level is then partial, so only a
-    throwaway table may pass ``meet``.
-    """
-    fresh: list[int] = []
-    for code in frontier:
-        for keep, left, up, right, down in masks:
-            child = (code & keep) | ((code & left) << up) | ((code & right) >> down)
-            if child not in seen:
-                seen[child] = depth
-                fresh.append(child)
-                if child in meet:
-                    return fresh
-        if max_states is not None and len(seen) > max_states:
-            for child in fresh:
-                del seen[child]
-            raise BudgetError(f"search over S_{n} exceeds the state budget")
-    return fresh
-
-
 class _LevelTable:
     """Level-synchronous BFS of one length/model from ``root`` (the identity
     when None): ``dist`` of every state reached, the last level
@@ -177,15 +143,34 @@ class _LevelTable:
             self._masks.append((keep, left, 4 * (k - j), right, 4 * (j - i)))
 
     def grow(self, max_states: int | None = None, meet: Container[int] = ()) -> bool:
-        """Add one BFS level, or only its part up to the first state in
-        ``meet`` (see ``_expand``); return False once the graph is exhausted."""
-        self.frontier = _expand(
-            self.frontier, self.dist, self.depth + 1, self.n, self._masks, max_states, meet
-        )
-        if not self.frontier:
-            return False
-        self.depth += 1
-        return True
+        """Add one BFS level at ``depth + 1``: every unseen child of the
+        ``frontier`` states, from their masks in order, goes into ``dist``, and
+        the new codes in that discovery order become ``frontier``. The budget
+        caps ``len(dist)`` after each expanded state; a refusal removes the
+        entries this call added before ``BudgetError``. A new child in
+        ``meet`` ends the level at once as the last code of a partial
+        ``frontier``, and ``depth`` still advances, so only a throwaway table
+        may pass ``meet``. Once the graph is exhausted, ``frontier`` becomes
+        ``[]``, ``depth`` stays and the call returns False."""
+        dist, masks, depth = self.dist, self._masks, self.depth + 1
+        fresh: list[int] = []
+        for code in self.frontier:
+            for keep, left, up, right, down in masks:
+                child = (code & keep) | ((code & left) << up) | ((code & right) >> down)
+                if child not in dist:
+                    dist[child] = depth
+                    fresh.append(child)
+                    if child in meet:
+                        self.frontier, self.depth = fresh, depth
+                        return True
+            if max_states is not None and len(dist) > max_states:
+                for child in fresh:
+                    del dist[child]
+                raise BudgetError(f"search over S_{self.n} exceeds the state budget")
+        self.frontier = fresh
+        if fresh:
+            self.depth = depth
+        return bool(fresh)
 
 
 def _breakpoint_key(n: int) -> Callable[[int], int]:

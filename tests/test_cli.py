@@ -161,6 +161,8 @@ def test_usage_error_exit_code(capsys):
     for argv in (
         ["distance", "--model", "bogus", "1324"],
         ["distance", "--model", "td", "1324", "--max-states", "-1"],
+        ["verify", "-k", "-1", "--max-n", "0"],
+        ["verify", "-k", "2", "--max-n", "-3"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)

@@ -375,6 +375,17 @@ def test_mi_plus_one_distance_bound():
         assert models.distance(p, "td") <= models.distance(base, "td") + 1
 
 
+def test_mi_plus_one_checks_its_base_once(monkeypatch):
+    # the children are broken without the public step's per-call checks
+    expected = mi_plus_one((1, 3, 2, 4), 5)
+
+    def checked_step(*args):
+        raise AssertionError("mi_plus_one re-checks each child")
+
+    monkeypatch.setattr(genset, "_checked_step", checked_step)
+    assert mi_plus_one((1, 3, 2, 4), 5) == expected
+
+
 def test_mi_plus_one_validation():
     with pytest.raises(ValueError):
         mi_plus_one((1, 2), 4)

@@ -222,7 +222,7 @@ def test_query_side_meets_within_its_first_few_states(monkeypatch):
     met_after = []
 
     class CountingMasks(list):
-        # _expand walks the whole mask list once per expanded state
+        # grow walks the whole mask list once per expanded state
         def __iter__(self):
             met_after[-1] += 1
             return super().__iter__()
@@ -491,7 +491,7 @@ def test_budget_refuses_during_expansion():
     expanded = 0
 
     class CountingMasks(list):
-        # _expand walks the whole mask list once per expanded state
+        # grow walks the whole mask list once per expanded state
         def __iter__(self):
             nonlocal expanded
             expanded += 1
@@ -501,6 +501,19 @@ def test_budget_refuses_during_expansion():
     with pytest.raises(BudgetError):
         ball(10, 3, "td", max_states=50_000)
     assert 0 < expanded < full_level
+
+
+def test_exhausted_table_keeps_its_depth_and_an_empty_frontier():
+    for m in Model:
+        table = models._LevelTable(5, m)
+        while table.grow():
+            pass
+        depth = table.depth
+        assert table.frontier == []
+        assert not table.grow()
+        assert (table.frontier, table.depth) == ([], depth)
+        assert len(table.dist) == 120
+        assert depth == max(table.dist.values())
 
 
 def test_bidirectional_budget_counts_only_added_states():
@@ -526,10 +539,11 @@ def test_mask_children_match_the_tuple_operation():
             assert len(masks) == len(triples)
             for _ in range(3):
                 p = tuple(rng.sample(range(1, n + 1), n))
-                code = models._pack(p)
                 for mask, t in zip(masks, triples):
-                    child = models._expand([code], {}, 1, n, [mask], None)
-                    assert child == [models._pack(apply_transposition(p, t))], (p, t)
+                    table = models._LevelTable(n, m, p)
+                    table._masks = [mask]
+                    assert table.grow()
+                    assert table.frontier == [models._pack(apply_transposition(p, t))], (p, t)
 
 
 def test_full_s7_tables_match_a_plain_tuple_bfs():
