@@ -19,6 +19,7 @@ from permball import (
     format_perm,
     generating_set_constructive,
     generating_set_direct,
+    inflate,
     mi_union_member,
     ptd_parent,
 )
@@ -39,6 +40,7 @@ print("ptd k=3 size:", len(g90.elements))
 child = g90.elements[0]
 while len(child) > 1:
     parent, case = ptd_parent(child)
+    assert inflate(parent, case, "ptd") == child  # the step ptd_parent undoes
     print(f"  {format_perm(child)} <- parent {format_perm(parent)} at positions {case}")
     child = parent
 

@@ -18,7 +18,7 @@ strip with one operation. The block model chooses c = 3 positions
 i <= j <= k and cuts at (i+1, j+2, k+3); the prefix model chooses c = 2
 positions i <= j and cuts at (1, i+1, j+2), its front cut at the left end.
 Both routes read c and the front cut from ``Model.shape`` and cut with
-``apply_transposition``; both step functions return the broken child.
+``apply_transposition``; ``inflate`` is one checked step of the rule.
 The prefix steps are uniquely invertible, so generation j has C(2j, 2)
 children per parent and none collide: the prefix generating sets count
 (2k)!/2^k, the product of C(2j, 2) over the generations j = 1..k.
@@ -66,37 +66,36 @@ def index_multisets(n: int) -> Iterator[tuple[int, int, int]]:
     return itertools.combinations_with_replacement(range(1, n + 1), 3)
 
 
-def _checked_step(p: Perm, indices: tuple[int, ...], model: Model) -> Perm:
-    """The strip-break of one public inflation step, after checking that
-    ``p`` is a plus-irreducible permutation and ``indices`` are c
-    non-decreasing positions in 1..n."""
+def inflate(p: Perm, positions: tuple[int, ...], model: Model | str) -> Perm:
+    """One inflation step of ``model``: inflate the chosen positions of a
+    plus-irreducible ``p`` into strips and break them all with one operation.
+
+    ``positions`` holds c non-decreasing positions in 1..n, three for the
+    block model (i <= j <= k) and two for the prefix model (i <= j), and may
+    repeat: each occurrence adds one point, so a position chosen r times
+    becomes a strip of r+1 points. The breaking operation cuts at
+    (i+1, j+2, k+3), or at (1, i+1, j+2) for the prefix model. Returns the
+    broken child, c longer than ``p``. A block step keeps a leading 1 and a
+    trailing maximum of ``p``; ``ptd_parent`` inverts a prefix step. Raises
+    ValueError when ``p`` is not a plus-irreducible permutation or
+    ``positions`` are not c non-decreasing positions in 1..n.
+
+    >>> inflate((1, 3, 2, 4), (2, 2, 4), "td")
+    (1, 3, 5, 2, 6, 4, 7)
+    >>> inflate((2, 1, 3), (1, 1), "ptd")
+    (3, 2, 4, 1, 5)
+    """
+    model = Model.coerce(model)
     p = core.check_perm(p)
     if not core.is_plus_irreducible(p):
         raise ValueError(f"{p!r} is not plus irreducible")
-    indices = tuple(indices)
+    positions = tuple(positions)
     c = model.shape[0]
-    if len(indices) != c:
-        raise ValueError(f"a {model.value} step takes {c} positions, got {indices!r}")
-    if not all(map(operator.le, (1, *indices), (*indices, len(p)))):
-        raise ValueError(f"positions {indices!r} are not non-decreasing in 1..{len(p)}")
-    return _strip_break(p, indices, model)
-
-
-def td_inflate(p: Perm, indices: tuple[int, int, int]) -> Perm:
-    """Inflate three chosen positions of a plus-irreducible ``p`` into strips
-    and break them with the unique block transposition that does so.
-
-    Positions may repeat: each occurrence adds one extra point, so distinct
-    positions become strips of length 2, a doubled position a strip of
-    length 3, a tripled one a strip of length 4. The breaking transposition
-    has cut points (i+1, j+2, k+3). Returns the broken child, which is again
-    plus irreducible, three longer than ``p``, and keeps a leading 1 and
-    trailing maximum when ``p`` has them.
-
-    >>> td_inflate((1, 3, 2, 4), (2, 2, 4))
-    (1, 3, 5, 2, 6, 4, 7)
-    """
-    return _checked_step(p, indices, Model.BLOCK)
+    if len(positions) != c:
+        raise ValueError(f"a {model.value} step takes {c} positions, got {positions!r}")
+    if not all(map(operator.le, (1, *positions), (*positions, len(p)))):
+        raise ValueError(f"positions {positions!r} are not non-decreasing in 1..{len(p)}")
+    return _strip_break(p, positions, model)
 
 
 def ptd_cases(p: Perm) -> Iterator[tuple[int, int]]:
@@ -105,38 +104,9 @@ def ptd_cases(p: Perm) -> Iterator[tuple[int, int]]:
     return itertools.combinations_with_replacement(range(1, len(p) + 1), 2)
 
 
-def ptd_inflate(p: Perm, case: tuple[int, int]) -> Perm:
-    """Apply one prefix-model inflation step to ``p``: inflate the chosen
-    positions i <= j of ``case`` and cut at (1, i+1, j+2).
-
-    Writing a for the value at i (and b at j), with head/mid/tail the
-    entries before, between and after the chosen positions, the step gives
-    these closed forms:
-
-    a < b: (a+1) mid (b+1) head a (b+2) tail, where entries strictly
-        between a and b shift up by 1 and entries above b by 2;
-    a > b: (a+2) mid b head (a+1) (b+1) tail, with entries strictly
-        between b and a up by 1 and entries above a by 2;
-    i = j: (a+1) head a (a+2) tail, with entries above a up by 2.
-
-    Each is the strip-break: the inflation turns a into a strip of two
-    points (three when i = j) and b into a strip of two, and the cut moves
-    the prefix that ends at the first point of a's strip behind the block
-    that follows it up to the first point of b's strip (the second point of
-    a's, when i = j).
-
-    The result is two longer than ``p`` and plus irreducible whenever ``p``
-    is a generating permutation.
-
-    >>> ptd_inflate((2, 1, 3), (1, 1))
-    (3, 2, 4, 1, 5)
-    """
-    return _checked_step(p, case, Model.PREFIX)
-
-
 def ptd_parent(child: Perm) -> tuple[Perm, tuple[int, int]]:
     """Invert a prefix-model inflation step: recover the unique (parent, case)
-    with ptd_inflate(parent, case) == child.
+    with inflate(parent, case, "ptd") == child.
 
     The step moved a prefix that ends in s1 - 1 behind a block that now leads
     with s1, the first entry; that block ends with the value one below the
@@ -155,7 +125,7 @@ def ptd_parent(child: Perm) -> tuple[Perm, tuple[int, int]]:
         q = s[split + 1 : end + 1] + s[: split + 1] + s[end + 1 :]
         parent = tuple(x - (x > s[0]) - (x > right) for x in q if x != s[0] and x != right)
         case = (end - split, end)
-        if ptd_inflate(parent, case) != s:
+        if inflate(parent, case, Model.PREFIX) != s:
             raise ValueError
     except (IndexError, ValueError):
         raise ValueError(f"{s!r} is not obtainable by any inflation step") from None
@@ -272,7 +242,7 @@ def mi_plus_one(
     base: Perm, n_max: int, *, max_states: int | None = DEFAULT_MAX_STATES
 ) -> tuple[Perm, ...]:
     """The union of the inflation classes of the strip-broken children
-    td_inflate(base, I), over every multiset I of three positions,
+    inflate(base, I, "td"), over every multiset I of three positions,
     materialized from length 2 up to ``n_max``.
 
     These classes hold every one-step neighbour of the inflation class of

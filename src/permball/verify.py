@@ -148,7 +148,7 @@ def _check_worked_examples(golden, max_states):
     vector = [1 + indices.count(t) for t in range(1, len(base) + 1)]
     if core.monotone_inflate(base, vector) != inflated:
         return False, "strip-break inflation example"
-    if genset.td_inflate(base, indices) != broken:
+    if genset.inflate(base, indices, Model.BLOCK) != broken:
         return False, "strip-break construction example"
     for p, model, expected in distances:
         if models.distance(p, model, max_states=max_states) != expected:
@@ -244,7 +244,7 @@ def _check_ptd_parents(top_k: int, golden, max_states):
                 parent, case = genset.ptd_parent(child)
             except ValueError:  # ptd_parent's "not obtainable" answer
                 return False, f"no parent found for {core.format_perm(child)}"
-            if genset.ptd_inflate(parent, case) != child:
+            if genset.inflate(parent, case, Model.PREFIX) != child:
                 return False, f"reconstruction failed for {core.format_perm(child)}"
             if parent not in reports[j - 1].elements:
                 return False, f"parent of {core.format_perm(child)} is not generating"
@@ -283,7 +283,11 @@ def _check_basis_properties(model: Model, top_k: int, golden, max_states):
 
 def _registry(model_tags: list[Model], k: int, max_n: int) -> list[tuple[str, Callable]]:
     """Every check in run order, bound to its model, radius and top length:
-    how far each check reaches is decided here and nowhere else."""
+    how far each check reaches is decided here and nowhere else. Refuses a
+    radius below 1 or a top length below 2, where some checks would check
+    nothing."""
+    if k < 1 or max_n < 2:
+        raise ValueError(f"verify needs k >= 1 and max_n >= 2, got k={k}, max_n={max_n}")
     top_k, top6, top7 = min(k, 2), min(max_n, 6), min(max_n, 7)
     checks: list[tuple[str, Callable]] = []
     for model in model_tags:

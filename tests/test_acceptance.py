@@ -29,10 +29,10 @@ from permball.core import (
 from permball.genset import (
     generating_set_constructive,
     generating_set_direct,
+    inflate,
     mi_plus_one,
     mi_union_member,
     ptd_cases,
-    ptd_inflate,
     ptd_parent,
 )
 from permball.models import (
@@ -236,7 +236,7 @@ def test_criterion_11_parent_uniqueness():
     for k in (2, 3):
         for child in gensets[k]:
             parent, case = ptd_parent(child)
-            ok = ok and ptd_inflate(parent, case) == child
+            ok = ok and inflate(parent, case, "ptd") == child
             ok = ok and parent in gensets[k - 1]
             marker = child.index(child[0] - 1)
             right = child[marker + 1]
@@ -249,7 +249,7 @@ def test_criterion_11_parent_uniqueness():
     # the step is injective: distinct (parent, case) never collide
     for k in (1, 2):
         children = [
-            ptd_inflate(p, case) for p in gensets[k] for case in ptd_cases(p)
+            inflate(p, case, "ptd") for p in gensets[k] for case in ptd_cases(p)
         ]
         ok = ok and len(children) == len(set(children))
     c.finish(ok, "every generator at k=2,3 has exactly one (parent, case)")

@@ -167,6 +167,22 @@ def test_usage_error_exit_code(capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2
+    capsys.readouterr()
+    # parsed, then refused by verify: some checks would check nothing
+    for argv in (["verify", "-k", "0", "--max-n", "3"], ["verify", "-k", "1", "--max-n", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_refuses_a_reach_that_checks_nothing():
+    from permball import verify
+    from permball.models import Model
+
+    for k, max_n in ((0, 3), (1, 1)):
+        with pytest.raises(ValueError, match="k >= 1 and max_n >= 2"):
+            verify.run_verification([Model.BLOCK], k, max_n, verify.load_golden(), None)
+    assert verify._registry([Model.PREFIX], 1, 2)  # the least reach still runs
 
 
 def test_budget_exit_codes(capsys):

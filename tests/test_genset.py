@@ -11,12 +11,11 @@ from permball.genset import (
     generating_set_constructive,
     generating_set_direct,
     index_multisets,
+    inflate,
     mi_plus_one,
     mi_union_member,
     ptd_cases,
-    ptd_inflate,
     ptd_parent,
-    td_inflate,
 )
 from permball.models import Model
 
@@ -34,46 +33,56 @@ def all_perms(n):
     return itertools.permutations(range(1, n + 1))
 
 
-# --- block-model strip-break construction ---------------------------------------
+# --- inflation steps, both models ----------------------------------------------
 
 
-def test_td_inflate_worked_example():
-    assert td_inflate(parse_perm("1324"), (2, 2, 4)) == parse_perm("1352647")
+def test_inflate_worked_example():
+    assert inflate(parse_perm("1324"), (2, 2, 4), "td") == parse_perm("1352647")
 
 
-def test_td_inflate_from_singleton():
-    assert td_inflate((1,), (1, 1, 1)) == parse_perm("1324")
+def test_inflate_from_singleton():
+    assert inflate((1,), (1, 1, 1), "td") == parse_perm("1324")
 
 
-def test_td_inflate_errors():
-    with pytest.raises(ValueError):
-        td_inflate((1, 2), (1, 1, 1))  # not plus irreducible
-    with pytest.raises(ValueError):
-        td_inflate((1,), (1, 1, 2))  # index out of range
-    with pytest.raises(ValueError):
-        td_inflate((5,), (1, 1, 1))  # not a permutation
-    with pytest.raises(ValueError):
-        td_inflate((1,), (1, 1))  # a block step takes three positions
-    with pytest.raises(ValueError):
-        td_inflate((2, 1), (2, 1, 2))  # positions decrease
+@pytest.mark.parametrize(
+    "model, p, positions",
+    [("td", (2, 1), (1, 1, 2)), (Model.PREFIX, (2, 1, 3), (1, 2))],
+    ids=["td", "ptd"],
+)
+def test_inflate_rejects_bad_input(model, p, positions):
+    inflate(p, positions, model)  # a valid step; each case below spoils one part of it
+    n = len(p)
+    for bad_p, bad_positions, message in (
+        ((*p[:-1], p[0]), positions, "not a permutation"),
+        (tuple(range(1, n + 1)), positions, "not plus irreducible"),
+        (p, positions[:-1], "step takes"),  # too few positions
+        (p, (*positions, n), "step takes"),  # too many positions
+        (p, (0, *positions[1:]), "not non-decreasing"),  # positions are 1-based
+        (p, (*positions[:-1], n + 1), "not non-decreasing"),  # past n
+        (p, positions[::-1], "not non-decreasing"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            inflate(bad_p, bad_positions, model)
 
 
-def test_td_inflate_structure_preservation():
-    # length +3, plus irreducible, endpoints preserved when extremal
-    base = parse_perm("1324")
-    for indices in index_multisets(4):
-        broken = td_inflate(base, indices)
-        assert len(broken) == 7
-        assert core.is_plus_irreducible(broken)
-        assert broken[0] == 1 and broken[-1] == 7
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_inflate_structure_preservation(model):
+    # c longer, plus irreducible, one operation from the inflated parent; a
+    # block step keeps a leading 1 and a trailing maximum exactly when the
+    # parent has them
+    c = model.shape[0]
     for alpha in core.enumerate_plus_irreducible(4):
-        for indices in index_multisets(4):
-            vector = [1 + indices.count(t) for t in range(1, 5)]
-            inflated, broken = core.monotone_inflate(alpha, vector), td_inflate(alpha, indices)
+        for positions in itertools.combinations_with_replacement(range(1, 5), c):
+            vector = [1 + positions.count(t) for t in range(1, 5)]
+            inflated = core.monotone_inflate(alpha, vector)
+            broken = inflate(alpha, positions, model)
             assert core.mi_member(inflated, alpha)
-            assert broken in models.neighbors(inflated, Model.BLOCK)
+            assert broken in models.neighbors(inflated, model)
             assert core.is_plus_irreducible(broken)
-            assert len(broken) == len(alpha) + 3
+            assert len(broken) == len(alpha) + c
+            if model is Model.BLOCK:
+                ends = (broken[0] == 1, broken[-1] == len(broken))
+                assert ends == (alpha[0] == 1, alpha[-1] == len(alpha))
 
 
 def test_index_multisets_count():
@@ -227,31 +236,16 @@ def test_route_postconditions():
 # --- prefix-model inflation steps -----------------------------------------------
 
 
-def test_ptd_inflate_case_examples():
+def test_inflate_ptd_case_examples():
     base = parse_perm("213")
-    assert ptd_inflate(base, (1, 1)) == parse_perm("32415")
-    assert ptd_inflate(base, (1, 3)) == parse_perm("31425")
-    assert ptd_inflate(base, (1, 2)) == parse_perm("41325")
-
-
-def test_ptd_inflate_validation():
-    with pytest.raises(ValueError):
-        ptd_inflate((2, 1, 3), (4, 4))  # out of range
-    with pytest.raises(ValueError):
-        ptd_inflate((2, 1, 3), (0, 1))  # positions are 1-based
-    with pytest.raises(ValueError):
-        ptd_inflate((2, 1, 3), (2, 1))  # positions decrease
-    with pytest.raises(ValueError):
-        ptd_inflate((2, 1, 3), (1, 1, 1))  # a prefix step takes two positions
-    with pytest.raises(ValueError):
-        ptd_inflate((2, 2, 3), (1, 1))  # not a permutation
-    with pytest.raises(ValueError):
-        ptd_inflate((1, 2, 3), (1, 1))  # not plus irreducible
+    assert inflate(base, (1, 1), "ptd") == parse_perm("32415")
+    assert inflate(base, (1, 3), "ptd") == parse_perm("31425")
+    assert inflate(base, (1, 2), "ptd") == parse_perm("41325")
 
 
 def test_ptd_case_enumeration_covers_all_pairs():
     base = parse_perm("213")
-    children = perm_set(ptd_inflate(base, c) for c in ptd_cases(base))
+    children = perm_set(inflate(base, c, "ptd") for c in ptd_cases(base))
     assert children == PTD_K2
     for n in range(1, 6):
         p = core.enumerate_plus_irreducible(n)[-1]
@@ -280,7 +274,7 @@ def test_ptd_parent_inverts_every_inflation():
         children = []
         for p in parents:
             for case in ptd_cases(p):
-                child = ptd_inflate(p, case)
+                child = inflate(p, case, "ptd")
                 got_parent, got_case = ptd_parent(child)
                 assert got_parent == p and got_case == case
                 children.append(child)
@@ -295,7 +289,7 @@ def test_ptd_parent_accepts_exactly_the_inflation_results():
     for n in range(1, 6):
         for p in core.enumerate_plus_irreducible(n):
             for case in ptd_cases(p):
-                child = ptd_inflate(p, case)
+                child = inflate(p, case, "ptd")
                 assert child not in made  # no two steps collide
                 made[child] = (p, case)
     assert sum(len(c) == 7 for c in made) == 795
@@ -379,10 +373,10 @@ def test_mi_plus_one_checks_its_base_once(monkeypatch):
     # the children are broken without the public step's per-call checks
     expected = mi_plus_one((1, 3, 2, 4), 5)
 
-    def checked_step(*args):
+    def public_step(*args):
         raise AssertionError("mi_plus_one re-checks each child")
 
-    monkeypatch.setattr(genset, "_checked_step", checked_step)
+    monkeypatch.setattr(genset, "inflate", public_step)
     assert mi_plus_one((1, 3, 2, 4), 5) == expected
 
 
