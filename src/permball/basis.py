@@ -1,10 +1,12 @@
 """Bases of the distance-k balls: their minimal excluded permutations.
 
-A ball B_k is a pattern class (closed under one-point deletion), so a
-permutation belongs to it exactly when it avoids every basis element, and
-minimality can be tested through deletions alone. The basis elements have
-length at most 3k+1 (block model) or 2k+1 (prefix model); an optional probe
-one length above the bound confirms emptiness there.
+A ball B_k is a pattern class (closed under one-point deletion, which the
+``ball-closure`` check of ``verify`` tests), so a permutation belongs to it
+exactly when it avoids every basis element, and minimality can be tested
+through deletions alone. The basis elements have length at most 3k+1 (block
+model) or 2k+1 (prefix model); an optional probe one length above the bound
+confirms emptiness there. A ``BasisReport`` holds only what was computed,
+not the k and model its caller passed.
 
 Two independent routes compute the basis: ``basis`` extends the ball members
 of each length n - 1 by one point, and ``basis_via_poset_descent`` scans
@@ -42,8 +44,9 @@ class BasisProbe:
 
 @dataclass(frozen=True)
 class BasisReport:
-    k: int
-    model: Model
+    """A computed basis, sorted, and the length bound the scan covered; the
+    probe holds what one length above the bound held, when it was asked for."""
+
     elements: tuple[Perm, ...]
     length_bound_used: int
     probe: BasisProbe | None = None
@@ -90,13 +93,7 @@ def basis(
         else:
             probe = BasisProbe(length=n, elements=core.perm_set(found))
         shorter, inside_shorter = members, inside
-    return BasisReport(
-        k=k,
-        model=model,
-        elements=core.perm_set(elements),
-        length_bound_used=bound,
-        probe=probe,
-    )
+    return BasisReport(core.perm_set(elements), length_bound_used=bound, probe=probe)
 
 
 def basis_via_poset_descent(
@@ -132,33 +129,4 @@ def basis_via_poset_descent(
             ):
                 found.add(p)
         frontier = descend
-    return BasisReport(
-        k=k,
-        model=model,
-        elements=core.perm_set(map(tuple, found)),
-        length_bound_used=bound,
-        probe=None,
-    )
-
-
-def verify_class_closure(
-    k: int,
-    model: Model | str,
-    n_max: int,
-    *,
-    max_states: int | None = DEFAULT_MAX_STATES,
-) -> bool:
-    """Check the down-set property directly: every one-point deletion of a
-    ball member is again a ball member, for all lengths up to ``n_max``."""
-    model = Model.coerce(model)
-    if k < 0:
-        raise ValueError("negative radius")
-    # each length is read once: as the members at n, then as the set at n + 1
-    shorter = frozenset(ball(0, k, model, max_states=max_states))
-    for n in range(1, n_max + 1):
-        members = ball(n, k, model, max_states=max_states)
-        for p in members:
-            if not shorter.issuperset(core.one_point_deletions(p)):
-                return False
-        shorter = frozenset(members)
-    return True
+    return BasisReport(core.perm_set(map(tuple, found)), length_bound_used=bound)

@@ -2,8 +2,9 @@
 
 Every subcommand emits the same envelope — command echo, model, parameters,
 result payload, elapsed time — as human-readable text or as JSON
-(``--format json``). Exit codes: 0 success, 1 verification failure,
-2 usage or parse error, 3 budget refusal.
+(``--format json``). The envelope holds each input once; the result holds only
+what the command computed. Exit codes: 0 success, 1 verification failure,
+2 usage or parse error, 3 budget refusal (for ``verify``, every check skipped).
 """
 
 from __future__ import annotations
@@ -127,10 +128,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.command == "genset":
         report = genset.generating_set(args.k, args.model, args.method, max_states=max_states)
         return {
-            "k": report.k,
-            "model": report.model.value,
-            "method": report.method,
-            "element_length": genset.element_length(report.k, report.model),
+            "element_length": genset.element_length(args.k, args.model),
             "count": len(report.elements),
             "elements": [core.format_perm(q) for q in report.elements],
         }, EXIT_OK
@@ -138,8 +136,6 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.command == "basis":
         report = compute_basis(args.k, args.model, probe_extra=args.probe, max_states=max_states)
         result = {
-            "k": report.k,
-            "model": report.model.value,
             "length_bound": report.length_bound_used,
             "count": len(report.elements),
             "elements": [core.format_perm(q) for q in report.elements],
@@ -152,16 +148,15 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     if args.command == "count-irreducible":
         core.check_budget(args.n * args.n, max_states)  # the recurrence's cost is about n^2
         count = 1 if args.n == 0 else core.plus_irreducible_count(args.n - 1)
-        return {"n": args.n, "count": count}, EXIT_OK
+        return {"count": count}, EXIT_OK
 
     if args.command == "verify":
         tags = [Model(args.model)] if args.model else [Model.BLOCK, Model.PREFIX]
         golden = verify.load_golden(args.golden)
         results = verify.run_verification(tags, args.k, args.max_n, golden, max_states)
+        if all(r.status == "SKIPPED" for r in results):
+            raise BudgetError(f"all {len(results)} checks were skipped, so nothing was checked")
         payload = {
-            "model": args.model or "both",
-            "k": args.k,
-            "max_n": args.max_n,
             "checks": [
                 {"name": r.name, "status": r.status, "detail": r.detail} for r in results
             ],
@@ -184,11 +179,7 @@ def _format_text(envelope: dict[str, Any]) -> str:
             lines.append(f"{check['status']:<7}  {check['name']}  [{check['detail']}]")
         lines.append(f"all_passed: {result['all_passed']}")
     else:
-        # the header already printed the model and the parameters
-        printed = {"model": envelope["model"], **envelope["parameters"]}
         for key, value in result.items():
-            if key in printed and printed[key] == value:
-                continue
             if isinstance(value, list):
                 lines.append(f"{key}:")
                 lines += [f"  {item}" for item in value]

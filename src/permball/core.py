@@ -85,7 +85,7 @@ def parse_perm(text: str) -> Perm:
             values = [int(tok) for tok in s.split(",")]
         except ValueError:
             raise ValueError(f"bad permutation text: {text!r}") from None
-    elif s.isdigit():
+    elif s.isdecimal():
         values = [int(ch) for ch in s]
     else:
         raise ValueError(f"bad permutation text: {text!r}")

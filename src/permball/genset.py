@@ -135,11 +135,9 @@ def ptd_parent(child: Perm) -> tuple[Perm, tuple[int, int]]:
 @dataclass(frozen=True)
 class GeneratingSetReport:
     """A computed generating set: the maximal plus-irreducible members of one
-    ball, all of the same length and all at distance exactly k."""
+    ball, sorted, all of the same length and all at distance exactly k. It
+    holds only the elements, not the k, model and method its caller passed."""
 
-    k: int
-    model: Model
-    method: str
     elements: tuple[Perm, ...]
 
 
@@ -174,7 +172,7 @@ def generating_set_constructive(
                 grown.add(_strip_break(parent, indices, model))
             core.check_budget(len(grown), max_states)
         current = grown
-    return GeneratingSetReport(k, model, "constructive", core.perm_set(current))
+    return GeneratingSetReport(core.perm_set(current))
 
 
 def generating_set_direct(
@@ -213,7 +211,7 @@ def generating_set_direct(
             for cuts in itertools.combinations(joins, c):
                 grown.add(apply_transposition(p, front + cuts))
         level = grown
-    return GeneratingSetReport(k, model, "direct", tuple(map(tuple, sorted(level))))
+    return GeneratingSetReport(tuple(map(tuple, sorted(level))))
 
 
 def generating_set(

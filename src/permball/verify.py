@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 from . import core, genset, models
 from .basis import basis as compute_basis
-from .basis import basis_via_poset_descent, verify_class_closure
+from .basis import basis_via_poset_descent
 from .core import BudgetError, Perm, all_perms
 from .models import Model, ball
 
@@ -200,13 +200,14 @@ def _check_left_invariance(model: Model, golden, max_states):
 
 
 def _check_closure(model: Model, top_k: int, top: int, golden, max_states):
-    for j in range(0, top_k + 1):
-        if not verify_class_closure(j, model, top, max_states=max_states):
-            return False, f"deletion left the ball at k={j}"
-    for n in range(1, top + 1):
-        for j in range(top_k):
-            inner = frozenset(ball(n, j, model, max_states=max_states))
-            if not inner <= frozenset(ball(n, j + 1, model, max_states=max_states)):
+    # B_j is a class: every one-point deletion of a member is a member; and B_j ⊆ B_{j+1}
+    ball_at = cache(lambda n, j: frozenset(ball(n, j, model, max_states=max_states)))
+    for j in range(top_k + 1):
+        for n in range(1, top + 1):
+            shorter = ball_at(n - 1, j)
+            if not all(shorter.issuperset(core.one_point_deletions(p)) for p in ball_at(n, j)):
+                return False, f"deletion left the ball at k={j}"
+            if j < top_k and not ball_at(n, j) <= ball_at(n, j + 1):
                 return False, f"nesting failed at n={n}, k={j}"
     return True, f"deletion closure and nesting for n <= {top}, k <= {top_k}"
 

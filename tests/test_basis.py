@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from permball import core, models
-from permball.basis import basis, basis_via_poset_descent, verify_class_closure
+from permball import core, models, verify
+from permball.basis import basis, basis_via_poset_descent
 from permball.core import BudgetError, contains_pattern, one_point_deletions, parse_perm, perm_set
 from permball.genset import element_length
 from permball.models import Model
@@ -88,10 +88,11 @@ def test_avoidance_characterizes_membership():
 
 
 def test_class_closure():
-    assert verify_class_closure(1, "td", 6)
-    assert verify_class_closure(2, "ptd", 6)
-    assert verify_class_closure(0, "td", 5)
-    assert verify_class_closure(0, "ptd", 5)
+    # deletion closure of B_j and nesting B_j <= B_{j+1}, for every j up to
+    # the top radius; j = 0 is the identity ball
+    for model, top_k in ((Model.BLOCK, 1), (Model.PREFIX, 2)):
+        ok, detail = verify._check_closure(model, top_k, 6, None, None)
+        assert ok, detail
 
 
 def test_td_extension_beyond_published_values():

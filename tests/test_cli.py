@@ -199,6 +199,13 @@ def test_budget_exit_codes(capsys):
     code, _, err = run(capsys, "genset", "--model", "td", "-k", "3", "--max-states", "1000")
     assert code == 3
 
+    # a budget that skips every check has checked nothing: refused, not passed
+    # (cold caches: an answer already cached is returned without a budget check)
+    models._reset_caches()
+    code, out, err = run(capsys, "verify", "-k", "1", "--max-n", "3", "--max-states", "0")
+    assert code == 3
+    assert out == "" and err.startswith("refused:") and err.count("\n") == 1
+
 
 def test_count_irreducible_budget_and_long_counts(capsys):
     # the recurrence costs about n^2, so a large -n is refused before any work
@@ -409,6 +416,28 @@ def test_verify_reports_a_missing_ptd_parent_as_a_failure(monkeypatch):
     assert checks["ptd-parent-uniqueness"].status == "FAIL"
     assert "41325" in checks["ptd-parent-uniqueness"].detail
     assert checks["worked-examples"].status == "PASS"  # the checks after it still ran
+
+
+@pytest.mark.parametrize("n, j, detail", [
+    (3, 1, "deletion left the ball at k=1"),
+    (3, 2, "nesting failed at n=3, k=1"),
+])
+def test_verify_closure_fails_on_a_ball_missing_a_member(monkeypatch, n, j, detail):
+    # without 132 in B_1, deleting from 1324 leaves the ball; without it in
+    # B_2, B_1 is no longer nested in B_2
+    from permball import verify
+    from permball.models import Model
+
+    real = verify.ball
+
+    def missing_132(length, k, model, **kwargs):
+        found = real(length, k, model, **kwargs)
+        return tuple(p for p in found if p != (1, 3, 2)) if (length, k) == (n, j) else found
+
+    monkeypatch.setattr(verify, "ball", missing_132)
+    ok, got = verify._check_closure(Model.BLOCK, 2, 6, None, None)
+    assert not ok
+    assert got == detail
 
 
 def test_verify_json_payload(capsys):

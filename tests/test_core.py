@@ -53,6 +53,13 @@ def test_parse_rejects_garbage(bad):
         parse_perm(bad)
 
 
+@pytest.mark.parametrize("bad", ["²1", "1³2"])
+def test_parse_rejects_non_decimal_digits_as_bad_text(bad):
+    # str.isdigit accepts superscripts, which int() then rejects
+    with pytest.raises(ValueError, match="bad permutation text"):
+        parse_perm(bad)
+
+
 def test_format_round_trips_through_parse():
     rng = random.Random(7)
     cases = [(), (1,), identity(9), identity(12), tuple(rng.sample(range(1, 12), 11))]
