@@ -15,23 +15,26 @@ refuse up front by the n! size of the longest length they cover, which
 bounds the extension route's |B_k ∩ S_{n-1}|·n candidates from above.
 
 Both routes hold permutations as bytes, one entry per byte, and build
-tuples only for the elements they find. ``basis`` reads each length once
-through the public ``ball`` and tests its candidates with the public
-``one_point_deletions`` on bytes, so a traced run sees its ball reads and
-deletion scans at those layer boundaries. ``basis_via_poset_descent`` reads
-its sets from ``models._members`` and deletes with the ``core`` byte tables.
+tuples only for the elements they find. Each tests membership at its longest
+scanned length on the level table itself, through ``models._within``, so the
+largest ball is never copied; only the shorter lengths are read as bytes, once
+each. ``basis`` reads them through the public ``ball`` and tests its
+candidates with the public ``one_point_deletions`` on bytes, so a traced run
+sees its ball reads and deletion scans at those layer boundaries.
+``basis_via_poset_descent`` reads them from ``models._members`` and deletes
+with the ``core`` byte tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import core
 from .core import DEFAULT_MAX_STATES, Perm
 from .genset import element_length
-from .models import Model, _members, ball
+from .models import Model, _members, _within, ball
 
 
 @dataclass(frozen=True)
@@ -67,26 +70,34 @@ def basis(
     members, as bytes, extended by a new last entry v; each permutation
     arises from exactly one pair (member, v), so none is missed. With
     ``probe_extra`` the scan also covers one length above the bound and
-    records the (expected empty) findings. Refuses up front when n! at the
-    longest length exceeds ``max_states``: an over-estimate of the
-    candidates, kept so that the budget means the same for both routes.
+    records the (expected empty) findings. Each length below the longest
+    scanned one is read once through ``ball``: as the ball at n, then as the
+    shorter one at n + 1. The longest length is tested on the level table.
+    Refuses up front when n! at the longest length exceeds ``max_states``:
+    an over-estimate of the candidates, kept so that the budget means the
+    same for both routes.
     """
     model = Model.coerce(model)
     bound = element_length(k, model)
-    core.check_budget(math.factorial(bound + 1 if probe_extra else bound), max_states)
+    top = bound + 1 if probe_extra else bound
+    core.check_budget(math.factorial(top), max_states)
     elements: list[Perm] = []
     probe = None
-    # each length is read once: as the ball at n, then as the shorter one at n + 1
     shorter = list(map(bytes, ball(1, k, model, max_states=max_states)))
     inside_shorter = frozenset(shorter)
-    for n in range(2, bound + 2 if probe_extra else bound + 1):
-        members = list(map(bytes, ball(n, k, model, max_states=max_states)))
-        inside = frozenset(members)
+    within: Callable[[bytes], bool]
+    for n in range(2, top + 1):
+        if n < top:
+            members = list(map(bytes, ball(n, k, model, max_states=max_states)))
+            inside = frozenset(members)
+            within = inside.__contains__
+        else:
+            within = _within(n, k, model, max_states)
         found: list[Perm] = []
         for b in shorter:
             for v in range(1, n + 1):
                 p = b.translate(core._BUMP[v]) + core._ONE[v]
-                if p not in inside and inside_shorter.issuperset(core.one_point_deletions(p)):
+                if not within(p) and inside_shorter.issuperset(core.one_point_deletions(p)):
                     found.append(tuple(p))
         if n <= bound:
             elements.extend(found)
@@ -101,21 +112,23 @@ def basis_via_poset_descent(
 ) -> BasisReport:
     """Compute the same basis by descending the pattern poset from the top.
 
-    The frontier starts as every permutation of the bound length outside
-    the ball, scanned lazily. A frontier p whose last-entry deletion lies
-    outside the ball is not minimal, and that deletion joins the next
-    frontier; otherwise p is a basis element exactly when all its deletions
-    lie inside, a test that stops at the first one outside. Each frontier is
-    exactly the non-members of its length: a non-member q of length m is the
-    last-entry deletion of q followed by m + 1, a non-member because the
-    ball is a class. Disagreement with basis() signals a bug in the distance
-    engine or the pattern machinery.
+    The frontier starts as every permutation of the bound length, scanned
+    lazily. A frontier p whose last-entry deletion lies outside the ball is
+    outside too, since the ball is a class, and is not minimal: that
+    deletion joins the next frontier. Otherwise p is a basis element exactly
+    when it lies outside the ball and all its deletions lie inside, a test
+    that stops at the first one outside. Each later frontier is exactly the
+    non-members of its length: a non-member q of length m is the last-entry
+    deletion of q followed by m + 1, a non-member because the ball is a
+    class. Membership at the bound length is tested on the level table, and
+    each shorter length is read once, as a set. Disagreement with basis()
+    signals a bug in the distance engine or the pattern machinery.
     """
     model = Model.coerce(model)
     bound = element_length(k, model)
     core.check_budget(math.factorial(bound), max_states)
-    inside = frozenset(_members(bound, k, model, max_states))
-    frontier: Iterable[bytes] = (p for p in map(bytes, core.all_perms(bound)) if p not in inside)
+    within = _within(bound, k, model, max_states)
+    frontier: Iterable[bytes] = map(bytes, core.all_perms(bound))
     found: set[bytes] = set()
     for n in range(bound, 1, -1):
         inside_shorter = frozenset(_members(n - 1, k, model, max_states))
@@ -124,9 +137,9 @@ def basis_via_poset_descent(
             last = p[:-1].translate(core._RESCALE[p[-1]])
             if last not in inside_shorter:
                 descend.add(last)
-            elif inside_shorter.issuperset(
+            elif not within(p) and inside_shorter.issuperset(
                 map(p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p))
             ):
                 found.add(p)
-        frontier = descend
+        frontier, within = descend, inside_shorter.__contains__
     return BasisReport(core.perm_set(map(tuple, found)), length_bound_used=bound)

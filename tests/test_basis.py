@@ -1,5 +1,6 @@
 """Bases of the balls: published small cases, both methods, minimality."""
 
+import importlib
 import itertools
 
 import pytest
@@ -139,6 +140,27 @@ def test_basis_extends_shorter_ball_members_without_scanning(monkeypatch):
     report = basis(2, "ptd", probe_extra=True)
     assert report.elements == PTD_K2
     assert report.probe.elements == ()
+
+
+def test_the_longest_scanned_length_is_never_copied(monkeypatch):
+    # both routes test their longest length on the level table and read each
+    # shorter one once; a read of the longest would copy the largest ball
+    basis_module = importlib.import_module("permball.basis")
+    lengths = []
+    for name in ("ball", "_members"):
+        def record(n, *args, original=getattr(basis_module, name), **kwargs):
+            lengths.append(n)
+            return original(n, *args, **kwargs)
+
+        monkeypatch.setattr(basis_module, name, record)
+    for route, kwargs, longest in (
+        (basis, {}, 5),
+        (basis, {"probe_extra": True}, 6),
+        (basis_via_poset_descent, {}, 5),
+    ):
+        lengths.clear()
+        route(2, "ptd", **kwargs)
+        assert sorted(lengths) == list(range(1, longest)), (route, kwargs)
 
 
 def test_routes_agree_on_ptd_k3():

@@ -439,7 +439,36 @@ def test_unpack_inverts_pack():
     for n in range(1, 17):
         # the reversal of length 16 puts 16, nibble 0xF, in the top nibble
         for p in (identity(n), tuple(range(n, 0, -1)), tuple(rng.sample(range(1, n + 1), n))):
-            assert tuple(models._unpack_bytes(models._pack(p), n)) == p
+            code = sum((v - 1) << 4 * i for i, v in enumerate(p))
+            assert models._pack(p) == models._pack(bytes(p)) == code, p
+            assert models._unpack_bytes(code, n) == bytes(p)
+
+
+def test_within_is_ball_membership_at_every_radius():
+    # the second pass finds every table grown to its full depth, deeper than
+    # the radius asked for, so a predicate must test the depth, not presence
+    def check():
+        for n in range(1, 8):
+            for m in Model:
+                for k in range(max(full_table(n, m).values()) + 1):
+                    inside = models._within(n, k, m, None)
+                    members = frozenset(ball(n, k, m, max_states=None))
+                    for p in all_perms(n):
+                        assert inside(bytes(p)) == (p in members), (n, m, k, p)
+
+    models._reset_caches()
+    check()
+    models._reset_caches()
+    for n in range(1, 8):
+        for m in Model:
+            ball(n, max(full_table(n, m).values()), m, max_states=None)
+    check()
+    with pytest.raises(BudgetError):
+        models._within(17, 1, "td", None)
+    with pytest.raises(ValueError):
+        models._within(4, -1, "td", None)
+    with pytest.raises(ValueError):
+        models._within(-1, 1, "td", None)
 
 
 # --- budgets ---------------------------------------------------------------------
