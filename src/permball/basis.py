@@ -15,21 +15,21 @@ refuse up front by the n! size of the longest length they cover, which
 bounds the extension route's |B_k ∩ S_{n-1}|·n candidates from above.
 
 Both routes hold permutations as bytes, one entry per byte, and build
-tuples only for the elements they find. Each tests membership at its longest
-scanned length on the level table itself, through ``models._within``, so the
-largest ball is never copied; only the shorter lengths are read as bytes, once
-each. ``basis`` reads them through the public ``ball`` and tests its
-candidates with the public ``one_point_deletions`` on bytes, so a traced run
-sees its ball reads and deletion scans at those layer boundaries.
-``basis_via_poset_descent`` reads them from ``models._members`` and deletes
-with the ``core`` byte tables.
+tuples only for the elements they find. Each takes one step per scanned
+length n: it tests membership at n on the level table itself, through
+``models._within``, and reads the ball at n - 1 as bytes, once, so no ball is
+copied to be tested and the largest is never copied at all. ``basis`` reads
+through the public ``ball`` and tests its candidates with the public
+``one_point_deletions`` on bytes, so a traced run sees its ball reads and
+deletion scans at those layer boundaries. ``basis_via_poset_descent`` reads
+from ``models._members`` and deletes with the ``core`` byte tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import core
 from .core import DEFAULT_MAX_STATES, Perm
@@ -70,9 +70,9 @@ def basis(
     members, as bytes, extended by a new last entry v; each permutation
     arises from exactly one pair (member, v), so none is missed. With
     ``probe_extra`` the scan also covers one length above the bound and
-    records the (expected empty) findings. Each length below the longest
-    scanned one is read once through ``ball``: as the ball at n, then as the
-    shorter one at n + 1. The longest length is tested on the level table.
+    records the (expected empty) findings. Each step tests its candidates
+    on the level table of length n and reads the members of length n - 1
+    once, through ``ball``.
     Refuses up front when n! at the longest length exceeds ``max_states``:
     an over-estimate of the candidates, kept so that the budget means the
     same for both routes.
@@ -83,16 +83,10 @@ def basis(
     core.check_budget(math.factorial(top), max_states)
     elements: list[Perm] = []
     probe = None
-    shorter = list(map(bytes, ball(1, k, model, max_states=max_states)))
-    inside_shorter = frozenset(shorter)
-    within: Callable[[bytes], bool]
     for n in range(2, top + 1):
-        if n < top:
-            members = list(map(bytes, ball(n, k, model, max_states=max_states)))
-            inside = frozenset(members)
-            within = inside.__contains__
-        else:
-            within = _within(n, k, model, max_states)
+        shorter = list(map(bytes, ball(n - 1, k, model, max_states=max_states)))
+        inside_shorter = frozenset(shorter)
+        within = _within(n, k, model, max_states)
         found: list[Perm] = []
         for b in shorter:
             for v in range(1, n + 1):
@@ -103,7 +97,6 @@ def basis(
             elements.extend(found)
         else:
             probe = BasisProbe(length=n, elements=core.perm_set(found))
-        shorter, inside_shorter = members, inside
     return BasisReport(core.perm_set(elements), length_bound_used=bound, probe=probe)
 
 
@@ -120,17 +113,17 @@ def basis_via_poset_descent(
     that stops at the first one outside. Each later frontier is exactly the
     non-members of its length: a non-member q of length m is the last-entry
     deletion of q followed by m + 1, a non-member because the ball is a
-    class. Membership at the bound length is tested on the level table, and
-    each shorter length is read once, as a set. Disagreement with basis()
+    class. Membership at each length n is tested on the level table, and
+    length n - 1 is read once, as a set. Disagreement with basis()
     signals a bug in the distance engine or the pattern machinery.
     """
     model = Model.coerce(model)
     bound = element_length(k, model)
     core.check_budget(math.factorial(bound), max_states)
-    within = _within(bound, k, model, max_states)
     frontier: Iterable[bytes] = map(bytes, core.all_perms(bound))
     found: set[bytes] = set()
     for n in range(bound, 1, -1):
+        within = _within(n, k, model, max_states)
         inside_shorter = frozenset(_members(n - 1, k, model, max_states))
         descend: set[bytes] = set()
         for p in frontier:
@@ -141,5 +134,5 @@ def basis_via_poset_descent(
                 map(p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p))
             ):
                 found.add(p)
-        frontier, within = descend, inside_shorter.__contains__
+        frontier = descend
     return BasisReport(core.perm_set(map(tuple, found)), length_bound_used=bound)

@@ -259,9 +259,9 @@ def mi_member(p: Perm, base: Perm) -> bool:
     its reduction, and conversely an embedding of reduce(p) into base selects
     the points to inflate by the strip lengths of p.
     """
-    if not is_plus_irreducible(base):
+    if not is_plus_irreducible(check_perm(base)):
         raise ValueError(f"base {base!r} is not plus irreducible; reduce it first")
-    return contains_pattern(base, reduce(p))
+    return contains_pattern(base, reduce(check_perm(p)))
 
 
 def mi_members(base: Perm, n_max: int) -> tuple[Perm, ...]:

@@ -232,7 +232,7 @@ def generating_set(
 def mi_union_member(p: Perm, report: GeneratingSetReport) -> bool:
     """True when ``p`` is a monotone inflation of some generating permutation,
     i.e. when ``p`` lies in the ball the report describes."""
-    q = core.reduce(p)
+    q = core.reduce(core.check_perm(p))
     return any(core.contains_pattern(g, q) for g in report.elements)
 
 

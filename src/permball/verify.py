@@ -3,8 +3,8 @@
 Each check returns PASS or FAIL with a short detail line; checks whose
 budget is exceeded report SKIPPED instead of failing. The expected values
 live in one data file (data/golden.json by default) so the CLI's negative
-control (a corrupted file must fail) stays meaningful. Only a missing or
-malformed expected value fails a check as "expected values unusable"; any
+control (a corrupted file must fail) stays meaningful. Only a missing, empty
+or malformed expected value fails a check as "expected values unusable"; any
 other exception from a check propagates.
 """
 
@@ -41,7 +41,7 @@ def load_golden(path: str | Path | None = None) -> dict:
 
 
 class _GoldenError(Exception):
-    """An expected value is missing from the golden data or malformed."""
+    """An expected value is missing from the golden data, empty or malformed."""
 
 
 def _golden(golden: dict, parse: Callable, *path: str):
@@ -60,6 +60,8 @@ def _perms(entries: Iterable[str]) -> tuple[Perm, ...]:
 
 
 def _counts(entries: dict) -> dict[int, int]:
+    if not entries:
+        raise ValueError("no lengths")
     return {int(length): int(value) for length, value in entries.items()}
 
 
@@ -67,6 +69,8 @@ def _examples(w: dict) -> tuple:
     """The worked examples, every permutation and number parsed."""
     perm, ints = core.parse_perm, lambda values: tuple(int(x) for x in values)
     red, infl, brk = w["reduce"], w["monotone_inflate"], w["strip_break"]
+    if not w["distances"]:
+        raise ValueError("no distances")
     return (
         (perm(red["input"]), perm(red["output"])),
         (perm(infl["base"]), ints(infl["vector"]), perm(infl["output"])),
@@ -133,7 +137,8 @@ def _check_counts(enum_top: int, golden, max_states):
             found = len(core.enumerate_plus_irreducible(length, max_states=max_states))
             if found != value:
                 return False, f"enumeration found {found} at length {length}"
-    return True, f"lengths 1..8 by recurrence, 1..{enum_top} by enumeration"
+    lo, hi = min(expected), max(expected)
+    return True, f"lengths {lo}..{hi} by recurrence, {lo}..{min(hi, enum_top)} by enumeration"
 
 
 def _check_worked_examples(golden, max_states):

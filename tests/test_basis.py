@@ -143,24 +143,29 @@ def test_basis_extends_shorter_ball_members_without_scanning(monkeypatch):
 
 
 def test_the_longest_scanned_length_is_never_copied(monkeypatch):
-    # both routes test their longest length on the level table and read each
-    # shorter one once; a read of the longest would copy the largest ball
+    # each step tests length n on the level table and reads length n - 1
+    # once; a read of the longest length would copy the largest ball
     basis_module = importlib.import_module("permball.basis")
-    lengths = []
-    for name in ("ball", "_members"):
-        def record(n, *args, original=getattr(basis_module, name), **kwargs):
-            lengths.append(n)
+    asked = []
+    for name in ("ball", "_members", "_within"):
+        def record(n, *args, name=name, original=getattr(basis_module, name), **kwargs):
+            asked.append((name, n))
             return original(n, *args, **kwargs)
 
         monkeypatch.setattr(basis_module, name, record)
-    for route, kwargs, longest in (
-        (basis, {}, 5),
-        (basis, {"probe_extra": True}, 6),
-        (basis_via_poset_descent, {}, 5),
+
+    def extension(top):
+        return [call for n in range(2, top + 1) for call in (("ball", n - 1), ("_within", n))]
+
+    descent = [call for n in range(5, 1, -1) for call in (("_within", n), ("_members", n - 1))]
+    for route, kwargs, expected in (
+        (basis, {}, extension(5)),
+        (basis, {"probe_extra": True}, extension(6)),
+        (basis_via_poset_descent, {}, descent),
     ):
-        lengths.clear()
+        asked.clear()
         route(2, "ptd", **kwargs)
-        assert sorted(lengths) == list(range(1, longest)), (route, kwargs)
+        assert asked == expected, (route, kwargs)
 
 
 def test_routes_agree_on_ptd_k3():

@@ -271,21 +271,61 @@ def test_verify_detects_corrupted_expected_values(tmp_path, capsys):
     assert code == 2
 
 
+def verify_td_k1(tmp_path, capsys, golden):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    code, payload, _ = run_json(
+        capsys, "verify", "--model", "td", "-k", "1", "--max-n", "4", "--golden", str(path)
+    )
+    return code, {c["name"]: c for c in payload["result"]["checks"]}
+
+
 def test_verify_labels_a_missing_expected_value(tmp_path, capsys):
     from permball.verify import load_golden
 
     golden = load_golden()
     del golden["bases"]["td"]["1"]
-    bad = tmp_path / "golden.json"
-    bad.write_text(json.dumps(golden))
-    code, payload, _ = run_json(
-        capsys, "verify", "--model", "td", "-k", "1", "--max-n", "4", "--golden", str(bad)
-    )
+    code, checks = verify_td_k1(tmp_path, capsys, golden)
     assert code == 1
-    checks = {c["name"]: c for c in payload["result"]["checks"]}
     assert checks["golden-basis-td-k1"]["status"] == "FAIL"
     assert "expected values unusable" in checks["golden-basis-td-k1"]["detail"]
     assert checks["basis-probe-td-k1"]["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "check, section, empty",
+    [
+        ("plus-irreducible-counts", ("plus_irreducible_counts_by_length",), {}),
+        ("worked-examples", ("worked_examples", "distances"), []),
+    ],
+    ids=["counts", "distances"],
+)
+def test_verify_fails_on_an_emptied_expected_section(tmp_path, capsys, check, section, empty):
+    # an empty section would pass its check without comparing anything
+    from permball.verify import load_golden
+
+    golden = load_golden()
+    holder = golden
+    for key in section[:-1]:
+        holder = holder[key]
+    holder[section[-1]] = empty
+    code, checks = verify_td_k1(tmp_path, capsys, golden)
+    assert code == 1
+    assert checks[check]["status"] == "FAIL"
+    assert "expected values unusable" in checks[check]["detail"]
+    assert all(key in checks[check]["detail"] for key in section)
+
+
+def test_verify_reports_the_count_lengths_it_read(tmp_path, capsys):
+    from permball.verify import load_golden
+
+    golden = load_golden()
+    counts = golden["plus_irreducible_counts_by_length"]
+    golden["plus_irreducible_counts_by_length"] = {n: counts[n] for n in "12345"}
+    code, checks = verify_td_k1(tmp_path, capsys, golden)
+    assert code == 0
+    assert checks["plus-irreducible-counts"]["status"] == "PASS"
+    assert "lengths 1..5 by recurrence" in checks["plus-irreducible-counts"]["detail"]
 
 
 def test_verify_does_not_blame_engine_errors_on_expected_values(monkeypatch):

@@ -263,6 +263,14 @@ def test_mi_member_examples():
         mi_member((1, 2), (1, 2))  # base must be plus irreducible
 
 
+def test_mi_member_refuses_non_permutations():
+    # reduce((2, 3)) is (1,), so without a check this would answer True
+    with pytest.raises(ValueError, match="not a permutation"):
+        mi_member((2, 3), (1,))
+    with pytest.raises(ValueError, match="not a permutation"):
+        mi_member((1,), (3, 1))
+
+
 def test_mi_member_agrees_with_vector_enumeration():
     # alpha up to length 5, candidates up to length 7
     for alen in range(6):

@@ -327,6 +327,12 @@ def test_mi_union_member_examples():
     assert not mi_union_member((3, 2, 1), k1)
 
 
+def test_mi_union_member_refuses_non_permutations():
+    # reduce((5, 5)) is (1,), which every generating set contains
+    with pytest.raises(ValueError, match="not a permutation"):
+        mi_union_member((5, 5), generating_set(1, "td"))
+
+
 def test_ball_equals_inflation_union():
     for model, n_max in ((Model.BLOCK, 7), (Model.PREFIX, 6)):
         for k in (1, 2):
