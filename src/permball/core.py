@@ -80,16 +80,11 @@ def parse_perm(text: str) -> Perm:
     s = text.strip()
     if s == "":
         return ()
-    if "," in s:
-        try:
-            values = [int(tok) for tok in s.split(",")]
-        except ValueError:
-            raise ValueError(f"bad permutation text: {text!r}") from None
-    elif s.isdecimal():
-        values = [int(ch) for ch in s]
-    else:
+    tokens = [tok.strip() for tok in s.split(",")] if "," in s else list(s)
+    # int() would also take "1_0", "+2" and non-ASCII digits
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ValueError(f"bad permutation text: {text!r}")
-    return check_perm(values)
+    return check_perm(map(int, tokens))
 
 
 def format_perm(p: Perm) -> str:
@@ -111,6 +106,7 @@ def invert(p: Perm) -> Perm:
     >>> invert((2, 3, 1))
     (3, 1, 2)
     """
+    p = check_perm(p)
     inv = [0] * len(p)
     for pos, v in enumerate(p, start=1):
         inv[v - 1] = pos
@@ -152,6 +148,7 @@ def reduce(p: Perm) -> Perm:
     >>> reduce((4, 3, 5, 6, 1, 2, 7, 8, 9))
     (3, 2, 4, 1, 5)
     """
+    p = check_perm(p)
     mins = [p[start - 1] for start, _ in strips(p)]
     rank = {v: r for r, v in enumerate(sorted(mins), start=1)}
     return tuple(rank[v] for v in mins)
@@ -234,7 +231,7 @@ def monotone_inflate(p: Perm, v: Iterable[int]) -> Perm:
     >>> monotone_inflate((4, 1, 3, 5, 2), (0, 2, 1, 3, 2))
     (1, 2, 5, 6, 7, 8, 3, 4)
     """
-    lengths = tuple(v)
+    p, lengths = check_perm(p), tuple(v)
     if len(lengths) != len(p):
         raise ValueError(f"inflation vector has length {len(lengths)}, permutation {len(p)}")
     if any(x < 0 for x in lengths):
@@ -261,7 +258,7 @@ def mi_member(p: Perm, base: Perm) -> bool:
     """
     if not is_plus_irreducible(check_perm(base)):
         raise ValueError(f"base {base!r} is not plus irreducible; reduce it first")
-    return contains_pattern(base, reduce(check_perm(p)))
+    return contains_pattern(base, reduce(p))
 
 
 def mi_members(base: Perm, n_max: int) -> tuple[Perm, ...]:

@@ -9,24 +9,24 @@ off a breadth-first expansion from the identity.
 All distances returned here are exact. A query of either model is answered
 on its strip reduction, which has the same distance (proved in
 ``distance``). One BFS table from the identity per (length, model), grown
-lazily and cached for the whole process, answers small lengths outright,
-holds every ball, and is the identity side of the memoized bidirectional
-search used for longer single queries. That search ends at the first state
-both sides have reached: the identity table holds whole BFS levels, so the
-first meet already has the exact distance. Only the throwaway table rooted
-at the query may stop mid-level; the cached identity table always finishes a
-level. The query side expands the states with the fewest breakpoints first,
-so the meet comes within the first few of them and a query's work hardly
-depends on which permutation it is. Every BFS step builds a state's children
-from its 4-bit packed code by bit masks and shifts, one mask tuple per
-cut-point triple. Results never depend on which path answered. State budgets
-bound search work: an answer already in the cache is returned as-is, and the
-two sides of a bidirectional search share one budget that counts only the
-states the search adds, not the cached ones. A budget refuses during
-expansion, as soon as the visited states exceed it; a refusal never leaves a
-partial BFS level or a memo entry behind, while whole levels finished before
-it stay cached. The tables and the memo are process-wide and unsynchronised,
-so the engine is single-threaded.
+lazily and cached for the whole process, holds every ball and is the
+identity side of the memoized bidirectional search that answers every query
+of every length; a query the table already holds is one lookup. That search
+ends at the first state both sides have reached: the identity table holds
+whole BFS levels, so the first meet already has the exact distance. Only the
+throwaway table rooted at the query may stop mid-level; the cached identity
+table always finishes a level. The query side expands the states with the
+fewest breakpoints first, so the meet comes within the first few of them and
+a query's work hardly depends on which permutation it is. Every BFS step
+builds a state's children from its 4-bit packed code by bit masks and
+shifts, one mask tuple per cut-point triple. Results never depend on what
+the caches hold. State budgets bound search work: an answer already in the
+cache is returned as-is, and the two sides of the search share one budget
+that counts only the states the search adds, not the cached ones. A budget
+refuses during expansion, as soon as the visited states exceed it; a refusal
+never leaves a partial BFS level or a memo entry behind, while whole levels
+finished before it stay cached. The tables and the memo are process-wide and
+unsynchronised, so the engine is single-threaded.
 
 ``_grown`` grows a level table to a radius and carries the refusals of
 ``ball``. ``_members`` reads a ball off that table once, as bytes with one
@@ -195,13 +195,6 @@ def _breakpoint_key(n: int) -> Callable[[int], int]:
 _tables: dict[tuple[int, Model], _LevelTable] = {}
 _bidi_memo: dict[tuple[Model, Perm], int] = {}
 
-#: Full tables are built on demand up to this length; longer single queries
-#: use bidirectional search instead of saturating n!-sized tables. With the
-#: nearest-first search ending at its first meet, a cutoff of 8 makes the
-#: distance-stream benchmark slower (median wall 0.53 -> 1.35 s, seeds 1-5 on
-#: 2 cores) and larger (peak RSS 27.6 -> 32.5 MB).
-_FULL_TABLE_MAX = 7
-
 
 def _table(n: int, model: Model) -> _LevelTable:
     key = (n, model)
@@ -278,20 +271,12 @@ def distance(
     A reduced permutation of length 2 or more is never the identity.
     """
     model = Model.coerce(model)
-    p = core.reduce(core.check_perm(p))
-    n = len(p)
-    if n <= 1:
+    p = core.reduce(p)
+    if len(p) <= 1:
         return 0
-    if n > _PACK_MAX:
+    if len(p) > _PACK_MAX:
         raise BudgetError(f"distance queries support length <= {_PACK_MAX}")
-    if n > _FULL_TABLE_MAX:
-        return _bidirectional(p, model, max_states)
-    code = _pack(p)
-    table = _table(n, model)
-    while code not in table.dist:
-        if not table.grow(max_states):
-            raise RuntimeError(f"search exhausted without reaching {p!r}")
-    return table.dist[code]
+    return _bidirectional(p, model, max_states)
 
 
 def pairwise_distance(
@@ -303,10 +288,9 @@ def pairwise_distance(
     fixed permutation preserves the distance; composing with the inverse of
     ``p`` turns the question into a sorting distance.
     """
-    p, q = core.check_perm(p), core.check_perm(q)
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    inv = core.invert(p)
+    inv, q = core.invert(p), core.check_perm(q)
+    if len(inv) != len(q):
+        raise ValueError(f"length mismatch: {len(inv)} vs {len(q)}")
     relabeled = tuple(inv[x - 1] for x in q)
     return distance(relabeled, model, max_states=max_states)
 

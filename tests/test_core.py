@@ -53,9 +53,12 @@ def test_parse_rejects_garbage(bad):
         parse_perm(bad)
 
 
-@pytest.mark.parametrize("bad", ["²1", "1³2"])
+@pytest.mark.parametrize(
+    "bad", ["²1", "1³2", "2,1_0,3,4,5,6,7,8,9,1", "+2,1", "٢١", "2,１"]
+)
 def test_parse_rejects_non_decimal_digits_as_bad_text(bad):
-    # str.isdigit accepts superscripts, which int() then rejects
+    # only the ASCII digits count: str.isdigit accepts superscripts, and
+    # int() accepts underscores, signs and the decimal digits of any script
     with pytest.raises(ValueError, match="bad permutation text"):
         parse_perm(bad)
 
@@ -269,6 +272,22 @@ def test_mi_member_refuses_non_permutations():
         mi_member((2, 3), (1,))
     with pytest.raises(ValueError, match="not a permutation"):
         mi_member((1,), (3, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: reduce((1, 1)),
+        lambda: invert((1, 1)),
+        lambda: monotone_inflate((2, 2), (1, 1)),
+        lambda: mi_members((1, 1), 2),
+    ],
+    ids=["reduce", "invert", "monotone_inflate", "mi_members"],
+)
+def test_builders_refuse_non_permutations(build):
+    # unchecked, these return (2, 2), (2, 0), (1, 2) and ((), (1,), (1, 2))
+    with pytest.raises(ValueError, match="not a permutation"):
+        build()
 
 
 def test_mi_member_agrees_with_vector_enumeration():

@@ -133,8 +133,8 @@ def test_distance_agrees_with_plain_bfs():
 
 
 def test_bidirectional_engine_agrees_on_longer_inputs():
-    # length 8 exceeds the full-table threshold, exercising the bidirectional
-    # path; its identity side is the cached table, cold or already grown
+    # the bidirectional search answers every length; its identity side is
+    # the cached table, cold or already grown
     rng = random.Random(11)
     for _ in range(12):
         p = tuple(rng.sample(range(1, 9), 8))
@@ -308,7 +308,7 @@ def test_distance_caps():
         assert distance(long_with_short_reduction, m) == 1
         with pytest.raises(BudgetError):
             distance(tuple(range(17, 0, -1)), m)
-    # length 9 keeps this on the bidirectional path with a fresh cache
+    # the search adds more than 10 states, whatever the caches hold
     with pytest.raises(BudgetError):
         distance((9, 8, 7, 6, 5, 4, 3, 2, 1), "ptd", max_states=10)
 
@@ -545,15 +545,24 @@ def test_exhausted_table_keeps_its_depth_and_an_empty_frontier():
         assert depth == max(table.dist.values())
 
 
-def test_bidirectional_budget_counts_only_added_states():
-    # the identity table cached by the ball holds 56,917 states, more than the
-    # budget, yet the query must be answered as it is from cold caches
-    p = (2, 1, 4, 3, 6, 5, 8, 7, 9)
+@pytest.mark.parametrize(
+    "p, expected, budget, radius",
+    [
+        # the identity table cached by the ball holds 56,917 states
+        ((2, 1, 4, 3, 6, 5, 8, 7, 9), 4, 50_000, 3),
+        # it holds 827 here, and growing it to depth 3 would take 3,527
+        ((2, 1, 4, 3, 6, 5, 7), 3, 800, 2),
+    ],
+    ids=["n9", "n7"],
+)
+def test_bidirectional_budget_counts_only_added_states(p, expected, budget, radius):
+    # the cached identity table holds more states than the budget, yet the
+    # query must be answered as it is from cold caches
     for warm in (False, True):
         models._reset_caches()
         if warm:
-            ball(9, 3, "td")
-        assert distance(p, "td", max_states=50_000) == 4, warm
+            ball(len(p), radius, "td")
+        assert distance(p, "td", max_states=budget) == expected, warm
 
 
 # --- bit-mask child generation ---------------------------------------------------

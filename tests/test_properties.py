@@ -80,8 +80,8 @@ def test_deletions_match_the_tuple_reference_on_drawn_permutations(p):
 @fixed(100)
 @given(st.sampled_from(models.Model), st.permutations(range(1, 9)).map(tuple))
 def test_distance_matches_the_full_table_at_length_8(model, p):
-    # length 8 is past the full-table cutoff, so this is the bidirectional
-    # search, from cold caches every time
+    # the bidirectional search from cold caches every time, never a lookup
+    # in an identity table that earlier queries grew
     models._reset_caches()
     assert distance(p, model) == full_table(8, model)[models._pack(p)]
 
