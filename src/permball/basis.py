@@ -12,17 +12,26 @@ Two independent routes compute the basis: ``basis`` extends the ball members
 of each length n - 1 by one point, and ``basis_via_poset_descent`` scans
 every permutation of the bound length and descends through deletions. Both
 refuse up front by the n! size of the longest length they cover, which
-bounds the extension route's |B_k ∩ S_{n-1}|·n candidates from above.
+bounds the extension route's candidates from above.
+
+Every basis element is plus irreducible (the strip lemma). Take p with an
+adjacency p[i+1] = p[i] + 1. Deleting p[i+1] leaves a permutation q with
+the same strip reduction, and the ``distance`` docstring proves that the
+reduction keeps the distance in both models, so q and p have one distance.
+Either p is in the ball, or its deletion q is outside it; either way p is
+not a minimal excluded permutation. ``basis`` uses the lemma to prune its
+candidates; ``basis_via_poset_descent`` does not, so its agreement with
+``basis`` also checks the lemma.
 
 Both routes hold permutations as bytes, one entry per byte, and build
 tuples only for the elements they find. Each takes one step per scanned
 length n: it tests membership at n on the level table itself, through
 ``models._within``, and reads the ball at n - 1 as bytes, once, so no ball is
 copied to be tested and the largest is never copied at all. ``basis`` reads
-through the public ``ball`` and tests its candidates with the public
-``one_point_deletions`` on bytes, so a traced run sees its ball reads and
-deletion scans at those layer boundaries. ``basis_via_poset_descent`` reads
-from ``models._members`` and deletes with the ``core`` byte tables.
+through the public ``ball``, so a traced run sees its ball reads;
+``basis_via_poset_descent`` reads from ``models._members``. Both test the
+deletions of a permutation with one early-exit scan over the ``core`` byte
+tables, which stops at the first deletion outside the ball.
 """
 
 from __future__ import annotations
@@ -55,6 +64,14 @@ class BasisReport:
     probe: BasisProbe | None = None
 
 
+def _deletions_within(p: bytes, inside: frozenset[bytes]) -> bool:
+    """Whether every one-point deletion of ``p`` lies in ``inside``; the
+    deletions are made lazily, so the test stops at the first one outside."""
+    return inside.issuperset(
+        map(p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p))
+    )
+
+
 def basis(
     k: int,
     model: Model | str,
@@ -68,11 +85,18 @@ def basis(
     ball with every one-point deletion inside. Deleting its last entry
     leaves a ball member of length n - 1, so the candidates are those
     members, as bytes, extended by a new last entry v; each permutation
-    arises from exactly one pair (member, v), so none is missed. With
-    ``probe_extra`` the scan also covers one length above the bound and
-    records the (expected empty) findings. Each step tests its candidates
-    on the level table of length n and reads the members of length n - 1
-    once, through ``ball``.
+    arises from exactly one pair (member, v), so none is missed. By the
+    strip lemma of the module docstring only the plus-irreducible extensions
+    are tested. Appending v bumps every entry from v up by one, which breaks
+    the member's adjacency (v - 1, v), if it has one, and no other; and the
+    new entry forms an adjacency exactly when v is one above the member's
+    last entry. So a member with two or more adjacencies gives no
+    candidate, one with the single adjacency (a, a + 1) gives only
+    v = a + 1, one with none gives every v, and v = last + 1 is always
+    skipped. With ``probe_extra`` the scan also covers one length above the
+    bound and records the (expected empty) findings. Each step tests its
+    candidates on the level table of length n and reads the members of
+    length n - 1 once, through ``ball``.
     Refuses up front when n! at the longest length exceeds ``max_states``:
     an over-estimate of the candidates, kept so that the budget means the
     same for both routes.
@@ -89,9 +113,15 @@ def basis(
         within = _within(n, k, model, max_states)
         found: list[Perm] = []
         for b in shorter:
-            for v in range(1, n + 1):
+            # the candidate rule above: a + 1 for each adjacency (a, a + 1)
+            rises = [y for x, y in zip(b, b[1:]) if y == x + 1]
+            if len(rises) > 1:
+                continue
+            for v in rises or range(1, n + 1):
+                if v == b[-1] + 1:
+                    continue
                 p = b.translate(core._BUMP[v]) + core._ONE[v]
-                if not within(p) and inside_shorter.issuperset(core.one_point_deletions(p)):
+                if not within(p) and _deletions_within(p, inside_shorter):
                     found.append(tuple(p))
         if n <= bound:
             elements.extend(found)
@@ -114,8 +144,9 @@ def basis_via_poset_descent(
     non-members of its length: a non-member q of length m is the last-entry
     deletion of q followed by m + 1, a non-member because the ball is a
     class. Membership at each length n is tested on the level table, and
-    length n - 1 is read once, as a set. Disagreement with basis()
-    signals a bug in the distance engine or the pattern machinery.
+    length n - 1 is read once, as a set. No candidate is pruned by the strip
+    lemma, so disagreement with basis() signals a bug in the distance
+    engine, the pattern machinery or that lemma.
     """
     model = Model.coerce(model)
     bound = element_length(k, model)
@@ -130,9 +161,7 @@ def basis_via_poset_descent(
             last = p[:-1].translate(core._RESCALE[p[-1]])
             if last not in inside_shorter:
                 descend.add(last)
-            elif not within(p) and inside_shorter.issuperset(
-                map(p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p))
-            ):
+            elif not within(p) and _deletions_within(p, inside_shorter):
                 found.add(p)
         frontier = descend
     return BasisReport(core.perm_set(map(tuple, found)), length_bound_used=bound)

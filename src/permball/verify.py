@@ -273,10 +273,11 @@ def _check_basis_properties(model: Model, top_k: int, golden, max_states):
     # A leading 1 can be removed without changing the block distance, so it
     # never appears in a block-model basis element; under the prefix model a
     # leading 1 is not free (132 is a basis element) and only the trailing
-    # maximum is excluded.
+    # maximum is excluded. The elements come from the poset descent, which
+    # does not prune by plus-irreducibility as ``basis`` does, so the first
+    # test can fail.
     for j in range(1, top_k + 1):
-        report = compute_basis(j, model, max_states=max_states)
-        for e in report.elements:
+        for e in basis_via_poset_descent(j, model, max_states=max_states).elements:
             if not core.is_plus_irreducible(e):
                 return False, f"{core.format_perm(e)} is not plus irreducible"
             if e[-1] == len(e):

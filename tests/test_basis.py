@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from permball import core, models, verify
-from permball.basis import basis, basis_via_poset_descent
+from permball.basis import BasisReport, basis, basis_via_poset_descent
 from permball.core import BudgetError, contains_pattern, one_point_deletions, parse_perm, perm_set
 from permball.genset import element_length
 from permball.models import Model
@@ -69,12 +69,43 @@ def test_basis_elements_pairwise_incomparable():
 
 
 def test_basis_elements_are_plus_irreducible_with_proper_endpoints():
-    for model, k in ((Model.BLOCK, 1), (Model.BLOCK, 2), (Model.PREFIX, 1), (Model.PREFIX, 2)):
-        for e in basis(k, model).elements:
-            assert core.is_plus_irreducible(e)
-            assert e[-1] != len(e)
-            if model is Model.BLOCK:
-                assert e[0] != 1
+    # the descent does not prune by plus-irreducibility, so it is the route
+    # that would expose a wrong strip lemma
+    cases = [(Model.BLOCK, k) for k in (1, 2)] + [(Model.PREFIX, k) for k in (1, 2, 3)]
+    for route in (basis, basis_via_poset_descent):
+        for model, k in cases:
+            for e in route(k, model).elements:
+                assert core.is_plus_irreducible(e), (route, e)
+                assert e[-1] != len(e), (route, e)
+                if model is Model.BLOCK:
+                    assert e[0] != 1, (route, e)
+
+
+def test_extension_tests_only_plus_irreducible_candidates(monkeypatch):
+    # the candidates are exactly the plus-irreducible p whose last-entry
+    # deletion lies in the ball, counted here over all of S_n (538 at td k=2,
+    # 56 at ptd k=2)
+    basis_module = importlib.import_module("permball.basis")
+    original = basis_module._within
+    tested = []
+
+    def recording_within(*args):
+        within = original(*args)
+        return lambda p: tested.append(p) or within(p)
+
+    monkeypatch.setattr(basis_module, "_within", recording_within)
+    for model, k in ((Model.BLOCK, 2), (Model.PREFIX, 2)):
+        tested.clear()
+        basis(k, model)
+        expected = 0
+        for n in range(2, element_length(k, model) + 1):
+            shorter = set(models.ball(n - 1, k, model))
+            expected += sum(
+                core.is_plus_irreducible(p) and tuple(x - (x > p[-1]) for x in p[:-1]) in shorter
+                for p in all_perms(n)
+            )
+        assert len(tested) == expected, (model, k)
+        assert all(core.is_plus_irreducible(p) for p in tested), model
 
 
 def test_avoidance_characterizes_membership():
@@ -86,6 +117,19 @@ def test_avoidance_characterizes_membership():
                 for p in all_perms(n):
                     avoids = not any(contains_pattern(p, e) for e in excluded)
                     assert avoids == (p in members), (p, model, k)
+
+
+def test_basis_properties_check_reads_the_unpruned_route(monkeypatch):
+    # basis() never tests a plus-reducible candidate, so the check reads the
+    # descent's elements; a plus-reducible one there must fail it
+    def plus_reducible(j, model, **kwargs):
+        return BasisReport(((2, 3, 1),), length_bound_used=element_length(j, model))
+
+    monkeypatch.setattr(verify, "basis_via_poset_descent", plus_reducible)
+    results = verify.run_verification(list(Model), 1, 3, verify.load_golden(), None)
+    for model in Model:
+        (check,) = [r for r in results if r.name == f"basis-properties-{model.value}"]
+        assert check.status == "FAIL" and check.detail == "231 is not plus irreducible", check
 
 
 def test_class_closure():
