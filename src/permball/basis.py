@@ -28,10 +28,10 @@ tuples only for the elements they find. Each takes one step per scanned
 length n: it tests membership at n on the level table itself, through
 ``models._within``, and reads the ball at n - 1 as bytes, once, so no ball is
 copied to be tested and the largest is never copied at all. ``basis`` reads
-through the public ``ball``, so a traced run sees its ball reads;
-``basis_via_poset_descent`` reads from ``models._members``. Both test the
-deletions of a permutation with one early-exit scan over the ``core`` byte
-tables, which stops at the first deletion outside the ball.
+through the public ``ball`` and tests its candidates with the public
+``one_point_deletions`` on bytes, so a traced run sees its ball reads and
+deletion scans at those layer boundaries. ``basis_via_poset_descent`` reads
+from ``models._members`` and deletes with the ``core`` byte tables.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ class BasisReport:
     elements: tuple[Perm, ...]
     length_bound_used: int
     probe: BasisProbe | None = None
-
-
-def _deletions_within(p: bytes, inside: frozenset[bytes]) -> bool:
-    """Whether every one-point deletion of ``p`` lies in ``inside``; the
-    deletions are made lazily, so the test stops at the first one outside."""
-    return inside.issuperset(
-        map(p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p))
-    )
 
 
 def basis(
@@ -121,7 +113,7 @@ def basis(
                 if v == b[-1] + 1:
                     continue
                 p = b.translate(core._BUMP[v]) + core._ONE[v]
-                if not within(p) and _deletions_within(p, inside_shorter):
+                if not within(p) and inside_shorter.issuperset(core.one_point_deletions(p)):
                     found.append(tuple(p))
         if n <= bound:
             elements.extend(found)
@@ -161,7 +153,9 @@ def basis_via_poset_descent(
             last = p[:-1].translate(core._RESCALE[p[-1]])
             if last not in inside_shorter:
                 descend.add(last)
-            elif not within(p) and _deletions_within(p, inside_shorter):
+            elif not within(p) and inside_shorter.issuperset(
+                map(p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p))
+            ):
                 found.add(p)
         frontier = descend
     return BasisReport(core.perm_set(map(tuple, found)), length_bound_used=bound)

@@ -275,17 +275,20 @@ def _check_basis_properties(model: Model, top_k: int, golden, max_states):
     # leading 1 is not free (132 is a basis element) and only the trailing
     # maximum is excluded. The elements come from the poset descent, which
     # does not prune by plus-irreducibility as ``basis`` does, so the first
-    # test can fail.
+    # test can fail; ``basis`` must then give the same elements.
     for j in range(1, top_k + 1):
-        for e in basis_via_poset_descent(j, model, max_states=max_states).elements:
+        descent = basis_via_poset_descent(j, model, max_states=max_states).elements
+        for e in descent:
             if not core.is_plus_irreducible(e):
                 return False, f"{core.format_perm(e)} is not plus irreducible"
             if e[-1] == len(e):
                 return False, f"{core.format_perm(e)} ends with its maximum"
             if model is Model.BLOCK and e[0] == 1:
                 return False, f"{core.format_perm(e)} starts with 1"
+        if compute_basis(j, model, max_states=max_states).elements != descent:
+            return False, f"the two routes disagree at k={j}"
     shape = "no leading 1, " if model is Model.BLOCK else ""
-    return True, f"plus irreducible, {shape}no trailing maximum, k <= {top_k}"
+    return True, f"plus irreducible, {shape}no trailing maximum, both routes, k <= {top_k}"
 
 
 def _registry(model_tags: list[Model], k: int, max_n: int) -> list[tuple[str, Callable]]:

@@ -1,5 +1,6 @@
 """Bases of the balls: published small cases, both methods, minimality."""
 
+import dataclasses
 import importlib
 import itertools
 
@@ -130,6 +131,21 @@ def test_basis_properties_check_reads_the_unpruned_route(monkeypatch):
     for model in Model:
         (check,) = [r for r in results if r.name == f"basis-properties-{model.value}"]
         assert check.status == "FAIL" and check.detail == "231 is not plus irreducible", check
+
+
+def test_basis_properties_check_compares_the_pruned_route(monkeypatch):
+    # the check also runs basis(), so a wrong pruning at a radius the golden
+    # bases do not reach (td k=2) fails it
+    def one_short(j, model, **kwargs):
+        report = basis(j, model, **kwargs)
+        elements = report.elements[1:] if j == 2 else report.elements
+        return dataclasses.replace(report, elements=elements)
+
+    monkeypatch.setattr(verify, "compute_basis", one_short)
+    results = verify.run_verification(list(Model), 2, 3, verify.load_golden(), None)
+    for model in Model:
+        (check,) = [r for r in results if r.name == f"basis-properties-{model.value}"]
+        assert check.status == "FAIL" and check.detail == "the two routes disagree at k=2", check
 
 
 def test_class_closure():
