@@ -3,10 +3,10 @@
 A ball B_k is a pattern class (closed under one-point deletion, which the
 ``ball-closure`` check of ``verify`` tests), so a permutation belongs to it
 exactly when it avoids every basis element, and minimality can be tested
-through deletions alone. The basis elements have length at most 3k+1 (block
-model) or 2k+1 (prefix model); an optional probe one length above the bound
-confirms emptiness there. A ``BasisReport`` holds only what was computed,
-not the k and model its caller passed.
+through deletions alone. The basis elements have length at most m = 3k+1
+(block model) or 2k+1 (prefix model); an optional probe one length above
+the bound confirms emptiness there. A ``BasisReport`` holds only what was
+computed, not the k and model its caller passed.
 
 Two independent routes compute the basis: ``basis`` extends the ball members
 of each length n - 1 by one point, and ``basis_via_poset_descent`` scans
@@ -14,35 +14,51 @@ every permutation of the bound length and descends through deletions. Both
 refuse up front by the n! size of the longest length they cover, which
 bounds the extension route's candidates from above.
 
-Every basis element is plus irreducible (the strip lemma). Take p with an
-adjacency p[i+1] = p[i] + 1. Deleting p[i+1] leaves a permutation q with
-the same strip reduction, and the ``distance`` docstring proves that the
-reduction keeps the distance in both models, so q and p have one distance.
-Either p is in the ball, or its deletion q is outside it; either way p is
-not a minimal excluded permutation. ``basis`` uses the lemma to prune its
-candidates; ``basis_via_poset_descent`` does not, so its agreement with
-``basis`` also checks the lemma.
+Both routes test membership at lengths n >= m without the level table of
+that length, by two facts:
+
+- Reduction: deleting the upper point p[i+1] of an adjacency
+  p[i+1] = p[i] + 1 keeps the strip reduction, which keeps the distance in
+  both models (proved in ``distance``).
+- Top length: the plus-irreducible members of length m are exactly the
+  generating set G_k, and none is longer, since a plus-irreducible
+  permutation of length n lies at distance at least ceil((n-1)/c) (both
+  proved in ``generating_set_direct``).
+
+``basis`` reads G_k from ``generating_set_direct`` and the descent from
+``generating_set_constructive``, so the routes share no generator code and
+a wrong G_k in either shows as their disagreement. Neither grows the level
+table of length m, except that the probe reads the ball of length m, and
+neither grows a longer one.
+
+Every basis element is plus irreducible (the strip lemma): by reduction, a
+p with an adjacency is in the ball or has a deletion outside it. ``basis``
+prunes its candidates by the lemma at every length. The descent prunes
+nothing, so below m its agreement with ``basis`` checks the lemma; at m a
+plus-reducible p is a member or has its adjacency deletion outside the
+ball by construction, so the lemma goes unchecked there. Block bases end
+at length 2k+2, below m = 3k+1 for k >= 2.
 
 Both routes hold permutations as bytes, one entry per byte, and build
 tuples only for the elements they find. Each takes one step per scanned
-length n: it tests membership at n on the level table itself, through
-``models._within``, and reads the ball at n - 1 as bytes, once, so no ball is
-copied to be tested and the largest is never copied at all. ``basis`` reads
-through the public ``ball`` and tests its candidates with the public
-``one_point_deletions`` on bytes, so a traced run sees its ball reads and
-deletion scans at those layer boundaries. ``basis_via_poset_descent`` reads
-from ``models._members`` and deletes with the ``core`` byte tables.
+length n: it tests membership at n through ``_member`` and reads the ball
+at n - 1 as bytes, once, so no ball is copied to be tested.
+``basis`` reads through the public ``ball`` and tests its candidates with
+the public ``one_point_deletions`` on bytes, so a traced run sees its ball
+reads and deletion scans at those layer boundaries.
+``basis_via_poset_descent`` reads from ``models._members`` and deletes with
+the ``core`` byte tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import core
 from .core import DEFAULT_MAX_STATES, Perm
-from .genset import element_length
+from .genset import element_length, generating_set_constructive, generating_set_direct
 from .models import Model, _members, _within, ball
 
 
@@ -62,6 +78,32 @@ class BasisReport:
     elements: tuple[Perm, ...]
     length_bound_used: int
     probe: BasisProbe | None = None
+
+
+def _member(
+    n: int, k: int, model: Model, max_states: int | None, generators: frozenset[bytes],
+    shorter: frozenset[bytes],
+) -> Callable[[bytes], bool]:
+    """Membership in B_k of a permutation of length ``n`` given as bytes, by
+    the two facts of the module docstring: below the bound m, the level
+    table's lookup; at n >= m, ``generators`` for a plus-irreducible p, and
+    otherwise its first adjacency deletion in ``shorter``, the members of
+    length n - 1 that the caller holds."""
+    bound = element_length(k, model)
+    if n < bound:
+        return _within(n, k, model, max_states)
+
+    def member(p: bytes) -> bool:
+        # _BUMP[1] adds one to every entry, so a zero byte of the xor marks
+        # an adjacency p[i + 1] = p[i] + 1
+        xor = int.from_bytes(p[1:], "big") ^ int.from_bytes(p[:-1].translate(core._BUMP[1]), "big")
+        i = xor.to_bytes(n - 1, "big").find(0)
+        if i < 0:
+            return n == bound and p in generators
+        v = p[i + 1]
+        return p.translate(core._RESCALE[v], core._ONE[v]) in shorter
+
+    return member
 
 
 def basis(
@@ -87,8 +129,10 @@ def basis(
     v = a + 1, one with none gives every v, and v = last + 1 is always
     skipped. With ``probe_extra`` the scan also covers one length above the
     bound and records the (expected empty) findings. Each step tests its
-    candidates on the level table of length n and reads the members of
-    length n - 1 once, through ``ball``.
+    candidates through ``_member`` with G_k from ``generating_set_direct``
+    (being plus irreducible, they are members at the bound only as
+    generators, and never above it), and reads the members of length n - 1
+    once, through ``ball``.
     Refuses up front when n! at the longest length exceeds ``max_states``:
     an over-estimate of the candidates, kept so that the budget means the
     same for both routes.
@@ -97,12 +141,14 @@ def basis(
     bound = element_length(k, model)
     top = bound + 1 if probe_extra else bound
     core.check_budget(math.factorial(top), max_states)
+    direct = generating_set_direct(k, model, max_states=max_states)
+    generators = frozenset(map(bytes, direct.elements))
     elements: list[Perm] = []
     probe = None
     for n in range(2, top + 1):
         shorter = list(map(bytes, ball(n - 1, k, model, max_states=max_states)))
         inside_shorter = frozenset(shorter)
-        within = _within(n, k, model, max_states)
+        member = _member(n, k, model, max_states, generators, inside_shorter)
         found: list[Perm] = []
         for b in shorter:
             # the candidate rule above: a + 1 for each adjacency (a, a + 1)
@@ -113,7 +159,7 @@ def basis(
                 if v == b[-1] + 1:
                     continue
                 p = b.translate(core._BUMP[v]) + core._ONE[v]
-                if not within(p) and inside_shorter.issuperset(core.one_point_deletions(p)):
+                if not member(p) and inside_shorter.issuperset(core.one_point_deletions(p)):
                     found.append(tuple(p))
         if n <= bound:
             elements.extend(found)
@@ -127,35 +173,48 @@ def basis_via_poset_descent(
 ) -> BasisReport:
     """Compute the same basis by descending the pattern poset from the top.
 
-    The frontier starts as every permutation of the bound length, scanned
-    lazily. A frontier p whose last-entry deletion lies outside the ball is
-    outside too, since the ball is a class, and is not minimal: that
-    deletion joins the next frontier. Otherwise p is a basis element exactly
-    when it lies outside the ball and all its deletions lie inside, a test
-    that stops at the first one outside. Each later frontier is exactly the
-    non-members of its length: a non-member q of length m is the last-entry
-    deletion of q followed by m + 1, a non-member because the ball is a
-    class. Membership at each length n is tested on the level table, and
-    length n - 1 is read once, as a set. No candidate is pruned by the strip
-    lemma, so disagreement with basis() signals a bug in the distance
-    engine, the pattern machinery or that lemma.
+    Each length n is scanned as pairs (q, ends): q of length n - 1 and the
+    permutations q extended by a new last entry v, for each v in ends, whose
+    last-entry deletion is q. The first frontier is every permutation of the
+    bound length, as every q of one length shorter with every v. A q outside
+    the ball joins the next frontier, once: its extensions are outside too,
+    since the ball is a class, and are not minimal. Otherwise each extension
+    p, streamed and never stored, is a basis element exactly when it lies
+    outside the ball and all its deletions lie inside, a test that stops at
+    the first one outside. Each later frontier is exactly the non-members of
+    its length: a non-member q of length n is the last-entry deletion of q
+    followed by n + 1, a non-member because the ball is a class. Membership
+    is tested through ``_member``, with G_k from
+    ``generating_set_constructive``, and length n - 1 is read once, as a
+    set. No candidate is pruned by the strip lemma, so below the bound
+    disagreement with basis() signals a bug in the distance engine, the
+    pattern machinery or that lemma. At the bound ``_member`` answers a
+    plus-reducible p by its adjacency deletion, so the lemma holds there by
+    construction, and disagreement signals a wrong G_k in either route.
     """
     model = Model.coerce(model)
     bound = element_length(k, model)
     core.check_budget(math.factorial(bound), max_states)
-    frontier: Iterable[bytes] = map(bytes, core.all_perms(bound))
+    constructive = generating_set_constructive(k, model, max_states=max_states)
+    generators = frozenset(map(bytes, constructive.elements))
+    every_end = range(1, bound + 1)
+    pairs: Iterable[tuple[bytes, Iterable[int]]] = (
+        (q, every_end) for q in map(bytes, core.all_perms(bound - 1))
+    )
     found: set[bytes] = set()
     for n in range(bound, 1, -1):
-        within = _within(n, k, model, max_states)
         inside_shorter = frozenset(_members(n - 1, k, model, max_states))
+        member = _member(n, k, model, max_states, generators, inside_shorter)
         descend: set[bytes] = set()
-        for p in frontier:
-            last = p[:-1].translate(core._RESCALE[p[-1]])
-            if last not in inside_shorter:
-                descend.add(last)
-            elif not within(p) and inside_shorter.issuperset(
-                map(p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p))
-            ):
-                found.add(p)
-        frontier = descend
+        for q, ends in pairs:
+            if q not in inside_shorter:
+                descend.add(q)
+                continue
+            for v in ends:
+                p = q.translate(core._BUMP[v]) + core._ONE[v]
+                if not member(p) and inside_shorter.issuperset(map(
+                    p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p)
+                )):
+                    found.add(p)
+        pairs = ((p[:-1].translate(core._RESCALE[p[-1]]), (p[-1],)) for p in descend)
     return BasisReport(core.perm_set(map(tuple, found)), length_bound_used=bound)

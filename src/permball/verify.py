@@ -275,7 +275,8 @@ def _check_basis_properties(model: Model, top_k: int, golden, max_states):
     # leading 1 is not free (132 is a basis element) and only the trailing
     # maximum is excluded. The elements come from the poset descent, which
     # does not prune by plus-irreducibility as ``basis`` does, so the first
-    # test can fail; ``basis`` must then give the same elements.
+    # test can fail below the bound length; ``basis`` must then give the
+    # same elements, which also catches a wrong generating set in ``basis``.
     for j in range(1, top_k + 1):
         descent = basis_via_poset_descent(j, model, max_states=max_states).elements
         for e in descent:

@@ -87,14 +87,14 @@ def test_extension_tests_only_plus_irreducible_candidates(monkeypatch):
     # deletion lies in the ball, counted here over all of S_n (538 at td k=2,
     # 56 at ptd k=2)
     basis_module = importlib.import_module("permball.basis")
-    original = basis_module._within
+    original = basis_module._member
     tested = []
 
-    def recording_within(*args):
-        within = original(*args)
-        return lambda p: tested.append(p) or within(p)
+    def recording_member(*args):
+        member = original(*args)
+        return lambda p: tested.append(p) or member(p)
 
-    monkeypatch.setattr(basis_module, "_within", recording_within)
+    monkeypatch.setattr(basis_module, "_member", recording_member)
     for model, k in ((Model.BLOCK, 2), (Model.PREFIX, 2)):
         tested.clear()
         basis(k, model)
@@ -146,6 +146,41 @@ def test_basis_properties_check_compares_the_pruned_route(monkeypatch):
     for model in Model:
         (check,) = [r for r in results if r.name == f"basis-properties-{model.value}"]
         assert check.status == "FAIL" and check.detail == "the two routes disagree at k=2", check
+
+
+def _one_generator_short(route, monkeypatch):
+    """Patch ``route`` in permball.basis to drop the first element of G_2;
+    returns the dropped element."""
+    basis_module = importlib.import_module("permball.basis")
+    original = getattr(basis_module, route)
+
+    def one_short(j, model, **kwargs):
+        report = original(j, model, **kwargs)
+        elements = report.elements[1:] if j == 2 else report.elements
+        return dataclasses.replace(report, elements=elements)
+
+    monkeypatch.setattr(basis_module, route, one_short)
+    return original(2, Model.PREFIX).elements[0]
+
+
+def test_basis_properties_check_catches_a_wrong_direct_generating_set(monkeypatch):
+    # basis() then calls the dropped generator a non-member at the bound and
+    # finds it as a basis element; the descent does not
+    _one_generator_short("generating_set_direct", monkeypatch)
+    results = verify.run_verification([Model.PREFIX], 2, 3, verify.load_golden(), None)
+    (check,) = [r for r in results if r.name == "basis-properties-ptd"]
+    assert check.status == "FAIL" and check.detail == "the two routes disagree at k=2", check
+
+
+def test_basis_properties_check_catches_a_wrong_constructive_generating_set(monkeypatch):
+    # the descent then finds the dropped generator as a basis element. Every
+    # prefix generator ends with its maximum, so the endpoint test, which runs
+    # before the routes are compared, names it
+    dropped = _one_generator_short("generating_set_constructive", monkeypatch)
+    results = verify.run_verification([Model.PREFIX], 2, 3, verify.load_golden(), None)
+    (check,) = [r for r in results if r.name == "basis-properties-ptd"]
+    assert check.status == "FAIL", check
+    assert check.detail == f"{core.format_perm(dropped)} ends with its maximum", check
 
 
 def test_class_closure():
@@ -203,21 +238,31 @@ def test_basis_extends_shorter_ball_members_without_scanning(monkeypatch):
 
 
 def test_the_longest_scanned_length_is_never_copied(monkeypatch):
-    # each step tests length n on the level table and reads length n - 1
-    # once; a read of the longest length would copy the largest ball
+    # each step reads length n - 1 once and tests length n on the level table
+    # below the bound 5; at 5 and above it tests against the route's own
+    # generating set, so no table of the bound is grown but for the probe's
+    # read of the ball of length 5
     basis_module = importlib.import_module("permball.basis")
     asked = []
-    for name in ("ball", "_members", "_within"):
+    names = ("ball", "_members", "_within", "generating_set_direct", "generating_set_constructive")
+    for name in names:
         def record(n, *args, name=name, original=getattr(basis_module, name), **kwargs):
             asked.append((name, n))
             return original(n, *args, **kwargs)
 
         monkeypatch.setattr(basis_module, name, record)
 
-    def extension(top):
-        return [call for n in range(2, top + 1) for call in (("ball", n - 1), ("_within", n))]
+    def steps(shorter, n):
+        return [(shorter, n - 1)] + [("_within", n)] * (n < 5)
 
-    descent = [call for n in range(5, 1, -1) for call in (("_within", n), ("_members", n - 1))]
+    def extension(top):
+        return [("generating_set_direct", 2)] + [
+            call for n in range(2, top + 1) for call in steps("ball", n)
+        ]
+
+    descent = [("generating_set_constructive", 2)] + [
+        call for n in range(5, 1, -1) for call in steps("_members", n)
+    ]
     for route, kwargs, expected in (
         (basis, {}, extension(5)),
         (basis, {"probe_extra": True}, extension(6)),
@@ -226,6 +271,39 @@ def test_the_longest_scanned_length_is_never_copied(monkeypatch):
         asked.clear()
         route(2, "ptd", **kwargs)
         assert asked == expected, (route, kwargs)
+
+
+def test_no_level_table_at_the_bound_or_above():
+    # the bound of ptd k=2 is 5; the probe reads the ball of length 5 and
+    # tests length 6 without its table
+    models._reset_caches()
+    basis(2, "ptd")
+    basis_via_poset_descent(2, "ptd")
+    assert (5, Model.PREFIX) not in models._tables
+    basis(2, "ptd", probe_extra=True)
+    assert (6, Model.PREFIX) not in models._tables
+
+
+def test_routes_and_probe_equal_a_brute_force_oracle():
+    # neither the strip lemma nor a generating set: over all of S_n for
+    # n <= m + 1, the permutations outside the ball whose one-point
+    # deletions all lie inside it
+    cases = [(Model.BLOCK, k) for k in (1, 2)] + [(Model.PREFIX, k) for k in (1, 2, 3)]
+    for model, k in cases:
+        bound = element_length(k, model)
+        inside = [set(models.ball(n, k, model)) for n in range(bound + 2)]
+        minimal = [
+            perm_set(
+                p for p in all_perms(n)
+                if p not in inside[n] and inside[n - 1].issuperset(one_point_deletions(p))
+            )
+            for n in range(1, bound + 2)
+        ]
+        expected = perm_set(itertools.chain(*minimal[:-1]))
+        report = basis(k, model, probe_extra=True)
+        assert report.elements == expected, (model, k)
+        assert report.probe.elements == minimal[-1] == (), (model, k)
+        assert basis_via_poset_descent(k, model).elements == expected, (model, k)
 
 
 def test_routes_agree_on_ptd_k3():
