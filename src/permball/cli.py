@@ -97,6 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _listing(perms: tuple[core.Perm, ...], count_only: bool = False) -> dict[str, Any]:
+    """The ``count`` of a result's permutations and, unless ``count_only``, their ``elements``."""
+    listing: dict[str, Any] = {"count": len(perms)}
+    if not count_only:
+        listing["elements"] = [core.format_perm(q) for q in perms]
+    return listing
+
+
 def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     """Execute one subcommand; return (result payload, exit code)."""
     max_states = args.max_states
@@ -112,34 +120,20 @@ def _run_command(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         # neighbors has no length bound of its own
         if len(p) > models._PACK_MAX:
             raise BudgetError(f"length {len(p)} exceeds the supported length {models._PACK_MAX}")
-        found = models.neighbors(p, args.model)
-        result: dict[str, Any] = {"count": len(found)}
-        if not args.count_only:
-            result["elements"] = [core.format_perm(q) for q in found]
-        return result, EXIT_OK
+        return _listing(models.neighbors(p, args.model), args.count_only), EXIT_OK
 
     if args.command == "ball":
         found = models.ball(args.n, args.k, args.model, max_states=max_states)
-        result = {"count": len(found)}
-        if not args.count_only:
-            result["elements"] = [core.format_perm(q) for q in found]
-        return result, EXIT_OK
+        return _listing(found, args.count_only), EXIT_OK
 
     if args.command == "genset":
         report = genset.generating_set(args.k, args.model, args.method, max_states=max_states)
-        return {
-            "element_length": genset.element_length(args.k, args.model),
-            "count": len(report.elements),
-            "elements": [core.format_perm(q) for q in report.elements],
-        }, EXIT_OK
+        length = genset.element_length(args.k, args.model)
+        return {"element_length": length, **_listing(report.elements)}, EXIT_OK
 
     if args.command == "basis":
         report = compute_basis(args.k, args.model, probe_extra=args.probe, max_states=max_states)
-        result = {
-            "length_bound": report.length_bound_used,
-            "count": len(report.elements),
-            "elements": [core.format_perm(q) for q in report.elements],
-        }
+        result = {"length_bound": report.length_bound_used, **_listing(report.elements)}
         if report.probe is not None:
             result["probe_length"] = report.probe.length
             result["probe_found"] = [core.format_perm(q) for q in report.probe.elements]

@@ -37,9 +37,12 @@ class BudgetError(RuntimeError):
 def check_budget(size: int, max_states: int | None) -> None:
     """Refuse an enumeration of ``size`` candidates (permutations or
     inflation vectors) that exceeds ``max_states``; callers that know the
-    size in advance check it before they start."""
+    size in advance check it before they start. The message gives the size
+    only while it is short: a size of thousands of digits has no decimal
+    string under the interpreter's default limit."""
     if max_states is not None and size > max_states:
-        raise BudgetError(f"{size} candidates exceed the state budget {max_states}")
+        shown = size if size <= 10**18 else "more than 10**18"
+        raise BudgetError(f"{shown} candidates exceed the state budget {max_states}")
 
 
 def check_perm(values: Iterable[int]) -> Perm:

@@ -86,8 +86,9 @@ def neighbors(p: Perm, model: Model | str) -> tuple[Perm, ...]:
     """All distinct permutations one operation away from ``p``.
 
     Both exchanged blocks are nonempty, so the result of any operation
-    differs from ``p``; deduplication still runs because distinct triples may
-    coincide on some inputs.
+    differs from ``p``. Distinct triples give distinct results: the triple
+    (i, j, k) moves exactly positions i..k-1 and brings the entry at j to
+    position i, so there are C(n+1, 3) neighbors under td and C(n, 2) under ptd.
     """
     p = core.check_perm(p)
     if not p:
@@ -328,9 +329,7 @@ def _within(n: int, k: int, model: Model | str, max_states: int | None) -> Calla
     k: the basis routes test every length below their bound so, copying no
     ball."""
     get = _grown(n, k, model, max_states).get
-    # _pack inlined: its call adds about 0.2 us per candidate, or 0.006 s over
-    # the 28,443 candidates the structures benchmark's basis routes test here
-    return lambda p: get(int(p[::-1].translate(_TO_HEX), 16), k + 1) <= k
+    return lambda p: get(_pack(p), k + 1) <= k
 
 
 def ball(

@@ -10,6 +10,7 @@ other exception from a check propagates.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import core, genset, models
 from .basis import basis as compute_basis
@@ -55,8 +56,9 @@ def _golden(golden: dict, parse: Callable, *path: str):
         raise _GoldenError(f"{'/'.join(path)}: {exc!r}") from None
 
 
-def _perms(entries: Iterable[str]) -> tuple[Perm, ...]:
-    return core.perm_set(core.parse_perm(e) for e in entries)
+def _structure(entry) -> int | tuple[Perm, ...]:
+    """A structure's golden entry: the number of its elements, or the elements sorted."""
+    return entry if isinstance(entry, int) else core.perm_set(map(core.parse_perm, entry))
 
 
 def _counts(entries: dict) -> dict[int, int]:
@@ -80,10 +82,10 @@ def _examples(w: dict) -> tuple:
 
 
 # --- individual checks ------------------------------------------------------
-# Every check is a plain function whose own parameters (model, radius j, top
-# length) come first; _registry binds them, leaving the one call shape
-# fn(golden, max_states) -> (ok, detail). ``max_states`` is the state budget,
-# forwarded unchanged.
+# Every check is a plain function whose own parameters (golden section and
+# routes, model, radius j, top length) come first; _registry binds them,
+# leaving the one call shape fn(golden, max_states) -> (ok, detail).
+# ``max_states`` is the state budget, forwarded unchanged.
 
 
 def _sweep(top: int, bad: Callable[[Perm], bool]) -> Perm | None:
@@ -97,28 +99,16 @@ def _swept(top: int, bad: Callable[[Perm], bool], ok: str, fail: str = "violated
     return (True, ok) if p is None else (False, fail.format(core.format_perm(p)))
 
 
-def _check_genset_golden(model: Model, j: int, golden, max_states):
-    expected = _golden(golden, _perms, "generating_sets", model.value, str(j))
-    direct = genset.generating_set_direct(j, model, max_states=max_states).elements
-    constructive = genset.generating_set_constructive(j, model, max_states=max_states).elements
-    ok = direct == expected and constructive == expected
-    return ok, f"{len(expected)} elements, both methods"
-
-
-def _check_genset_cardinality(j: int, golden, max_states):
-    expected = _golden(golden, int, "generating_set_cardinalities", "ptd", str(j))
-    direct = genset.generating_set_direct(j, Model.PREFIX, max_states=max_states).elements
-    constructive = genset.generating_set_constructive(j, Model.PREFIX, max_states=max_states)
-    ok = len(direct) == expected and direct == constructive.elements
-    return ok, f"cardinality {len(direct)} (expected {expected}), methods agree"
-
-
-def _check_basis_golden(model: Model, j: int, golden, max_states):
-    expected = _golden(golden, _perms, "bases", model.value, str(j))
-    primary = compute_basis(j, model, max_states=max_states).elements
-    descent = basis_via_poset_descent(j, model, max_states=max_states).elements
-    ok = primary == expected and descent == expected
-    return ok, f"{len(expected)} elements, both methods"
+def _check_golden(section: str, routes: tuple[Callable, Callable], model: Model, j: int,
+                  golden, max_states):
+    """Both routes of one structure at radius ``j``, against each other and
+    against ``golden[section][model][j]``: the sorted elements, or only their
+    number where the entry is a count."""
+    expected = _golden(golden, _structure, section, model.value, str(j))
+    first, second = (route(j, model, max_states=max_states).elements for route in routes)
+    count = isinstance(expected, int)
+    ok = first == second and (len(first) if count else first) == expected
+    return ok, f"{expected if count else len(expected)} elements, both methods"
 
 
 def _check_basis_probe(model: Model, j: int, golden, max_states):
@@ -192,13 +182,10 @@ def _check_left_invariance(model: Model, golden, max_states):
         return tuple(f[x - 1] for x in g)
 
     between = partial(models.pairwise_distance, model=model, max_states=max_states)
-    for sigma in all_perms(4):
-        for p in all_perms(4):
-            if between(compose(sigma, p), sigma) != between(p, (1, 2, 3, 4)):
-                return False, f"violated at sigma={sigma}, p={p}"
     rng = random.Random(20180521)
     fives = [tuple(rng.sample(range(1, 6), 5)) for _ in range(40)]
-    for sigma, p, q in zip(fives[::3], fives[1::3], fives[2::3]):
+    fours = ((sigma, p, (1, 2, 3, 4)) for sigma in all_perms(4) for p in all_perms(4))
+    for sigma, p, q in itertools.chain(fours, zip(fives[::3], fives[1::3], fives[2::3])):
         if between(compose(sigma, p), compose(sigma, q)) != between(p, q):
             return False, f"violated at sigma={sigma}, p={p}, q={q}"
     return True, "exhaustive on S_4, sampled on S_5"
@@ -259,14 +246,13 @@ def _check_ptd_parents(top_k: int, golden, max_states):
 
 def _check_transposition_inverse(top: int, golden, max_states):
     core.check_budget(math.factorial(top), max_states)
-    for n in range(2, top + 1):
-        for p in all_perms(n):
-            for t in models.transposition_triples(n, Model.BLOCK):
-                i, j, kk = t
-                undo = (i, i + kk - j, kk)
-                if models.apply_transposition(models.apply_transposition(p, t), undo) != p:
-                    return False, f"failed at {core.format_perm(p)}, {t}"
-    return True, f"exhaustive for n <= {top}"
+    step = models.apply_transposition
+
+    def bad(p: Perm) -> bool:
+        triples = models.transposition_triples(len(p), Model.BLOCK)
+        return any(step(step(p, (i, j, k)), (i, i + k - j, k)) != p for i, j, k in triples)
+
+    return _swept(top, bad, f"exhaustive for n <= {top}")
 
 
 def _check_basis_properties(model: Model, top_k: int, golden, max_states):
@@ -300,16 +286,20 @@ def _registry(model_tags: list[Model], k: int, max_n: int) -> list[tuple[str, Ca
     if k < 1 or max_n < 2:
         raise ValueError(f"verify needs k >= 1 and max_n >= 2, got k={k}, max_n={max_n}")
     top_k, top6, top7 = min(k, 2), min(max_n, 6), min(max_n, 7)
+    genset_routes = (genset.generating_set_direct, genset.generating_set_constructive)
+    golden_genset = partial(_check_golden, "generating_sets", genset_routes)
+    genset_count = partial(_check_golden, "generating_set_cardinalities", genset_routes)
+    golden_basis = partial(_check_golden, "bases", (compute_basis, basis_via_poset_descent))
     checks: list[tuple[str, Callable]] = []
     for model in model_tags:
         tag, td = model.value, model is Model.BLOCK
         basis_top = min(k, 1) if td else top_k  # the golden bases: td k=1, ptd k=1,2
         for j in range(1, top_k + 1):
-            checks.append((f"golden-genset-{tag}-k{j}", partial(_check_genset_golden, model, j)))
+            checks.append((f"golden-genset-{tag}-k{j}", partial(golden_genset, model, j)))
         if not td and k >= 3:
-            checks.append(("genset-cardinality-ptd-k3", partial(_check_genset_cardinality, 3)))
+            checks.append(("genset-cardinality-ptd-k3", partial(genset_count, model, 3)))
         for j in range(1, basis_top + 1):
-            checks.append((f"golden-basis-{tag}-k{j}", partial(_check_basis_golden, model, j)))
+            checks.append((f"golden-basis-{tag}-k{j}", partial(golden_basis, model, j)))
         for j in range(1, basis_top + 1):
             checks.append((f"basis-probe-{tag}-k{j}", partial(_check_basis_probe, model, j)))
         checks += [

@@ -207,6 +207,21 @@ def test_budget_exit_codes(capsys):
     assert out == "" and err.startswith("refused:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("basis", "--model", "td", "-k", "500"),
+    ("basis", "--model", "td", "-k", "600"),
+    ("genset", "--model", "td", "-k", "3000"),
+])
+def test_refusals_of_huge_sizes_are_one_short_line(capsys, argv):
+    # (3k+1)! has 4,171 digits at k=500 and more than CPython's default limit
+    # of 4,300 for an int-to-str conversion at k=600, like the genset child
+    # bound at k=3000; each refusal is still a budget refusal on one short line
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused:") and err.count("\n") == 1 and len(err) < 200
+
+
 def test_count_irreducible_budget_and_long_counts(capsys):
     # the recurrence costs about n^2, so a large -n is refused before any work
     started = time.perf_counter()

@@ -361,6 +361,14 @@ def test_enumeration_cap_is_enforced():
         enumerate_plus_irreducible(4, max_states=10)  # 11 permutations
 
 
+def test_enumeration_refuses_a_count_of_thousands_of_digits():
+    # the count at length 2000 has more digits than CPython's default limit
+    # for turning an int into a string; the refusal must not need that string
+    with pytest.raises(BudgetError, match="more than") as refusal:
+        enumerate_plus_irreducible(2000)
+    assert len(str(refusal.value)) < 200
+
+
 def test_invert_round_trip():
     for p in all_perms_up_to(6):
         inv = invert(p)

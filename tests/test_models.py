@@ -24,20 +24,24 @@ def all_perms(n):
     return itertools.permutations(range(1, n + 1))
 
 
-def bfs_distance(p, model):
-    """Oracle: plain forward breadth-first search on raw tuples."""
-    target = identity(len(p))
-    frontier, seen, depth = {tuple(p)}, {tuple(p)}, 0
-    while target not in frontier:
-        frontier = {
-            apply_transposition(q, t)
-            for q in frontier
-            for t in transposition_triples(len(q), model)
-        } - seen
-        seen |= frontier
-        depth += 1
-        assert frontier, "ran out of states"
-    return depth
+@functools.cache
+def tuple_bfs(n, model):
+    """Oracle: the distance of every permutation of length ``n`` from the
+    identity, by one plain breadth-first search on raw tuples, with none of
+    the engine's tables or packed codes. The inverse of an operation is an
+    operation of the same kind (test_transposition_inverse_identity_exhaustive),
+    so this is also each permutation's distance to the identity."""
+    dist, frontier = {identity(n): 0}, [identity(n)]
+    while frontier:
+        fresh = []
+        for r in frontier:
+            for t in transposition_triples(n, model):
+                q = apply_transposition(r, t)
+                if q not in dist:
+                    dist[q] = dist[r] + 1
+                    fresh.append(q)
+        frontier = fresh
+    return dist
 
 
 @functools.cache
@@ -94,6 +98,14 @@ def test_neighbors_examples():
         neighbors((), "td")
 
 
+def test_neighbor_counts_are_the_triple_counts():
+    # distinct triples give distinct neighbors, so none coincide
+    for n in range(1, 7):
+        for p in all_perms(n):
+            assert len(neighbors(p, "td")) == math.comb(n + 1, 3), p
+            assert len(neighbors(p, "ptd")) == math.comb(n, 2), p
+
+
 def test_neighbors_never_contain_the_source():
     for n in range(1, 6):
         for p in all_perms(n):
@@ -129,7 +141,7 @@ def test_distance_agrees_with_plain_bfs():
     for n in range(1, 6):
         for p in all_perms(n):
             for m in (Model.BLOCK, Model.PREFIX):
-                assert distance(p, m) == bfs_distance(p, m), (p, m)
+                assert distance(p, m) == tuple_bfs(n, m)[p], (p, m)
 
 
 def test_bidirectional_engine_agrees_on_longer_inputs():
@@ -139,7 +151,7 @@ def test_bidirectional_engine_agrees_on_longer_inputs():
     for _ in range(12):
         p = tuple(rng.sample(range(1, 9), 8))
         for m in (Model.BLOCK, Model.PREFIX):
-            expected = bfs_distance(p, m)
+            expected = tuple_bfs(8, m)[p]
             for warm in (False, True):
                 models._reset_caches()
                 if warm:
@@ -586,17 +598,8 @@ def test_mask_children_match_the_tuple_operation():
 
 def test_full_s7_tables_match_a_plain_tuple_bfs():
     for m in (Model.BLOCK, Model.PREFIX):
-        expected, frontier = {identity(7): 0}, [identity(7)]
-        while frontier:
-            fresh = []
-            for r in frontier:
-                for t in transposition_triples(7, m):
-                    q = apply_transposition(r, t)
-                    if q not in expected:
-                        expected[q] = expected[r] + 1
-                        fresh.append(q)
-            frontier = fresh
         table = models._LevelTable(7, m)
         while table.grow():
             pass
-        assert {tuple(models._unpack_bytes(c, 7)): d for c, d in table.dist.items()} == expected
+        found = {tuple(models._unpack_bytes(c, 7)): d for c, d in table.dist.items()}
+        assert found == tuple_bfs(7, m)
