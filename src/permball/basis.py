@@ -31,28 +31,27 @@ a wrong G_k in either shows as their disagreement. Neither grows the level
 table of length m, except that the probe reads the ball of length m, and
 neither grows a longer one.
 
-Every basis element is plus irreducible (the strip lemma): by reduction, a
-p with an adjacency is in the ball or has a deletion outside it. ``basis``
-prunes its candidates by the lemma at every length. The descent prunes
-nothing, so below m its agreement with ``basis`` checks the lemma; at m a
-plus-reducible p is a member or has its adjacency deletion outside the
-ball by construction, so the lemma goes unchecked there. Block bases end
-at length 2k+2, below m = 3k+1 for k >= 2.
+Every basis element is plus irreducible (the strip lemma): by reduction, a p
+with an adjacency is in the ball or has a deletion outside it. Both routes
+keep only the plus-irreducible extensions, by one rule, ``_ends``: ``basis``
+at every length, the descent only at m, where the pruning is exact whatever
+G_k holds (a plus-reducible p there is a member or fails the deletion test
+through the same adjacency deletion). Below m the descent tests every
+extension, so its agreement with ``basis`` checks the lemma and the rule.
+Block bases end at length 2k+2, below m = 3k+1 for k >= 2.
 
-Both routes hold permutations as bytes, one entry per byte, and build
-tuples only for the elements they find. Each takes one step per scanned
-length n: it tests membership at n through ``_member`` and reads the ball
-at n - 1 as bytes, once, so no ball is copied to be tested.
-``basis`` reads through the public ``ball`` and tests its candidates with
-the public ``one_point_deletions`` on bytes, so a traced run sees its ball
-reads and deletion scans at those layer boundaries.
-``basis_via_poset_descent`` reads from ``models._members`` and deletes with
-the ``core`` byte tables.
+Both routes hold permutations as bytes, one entry per byte, and build tuples
+only for the elements they find. Each takes one step per scanned length n:
+it tests membership at n through ``_member`` and reads the ball at n - 1 as
+bytes, once, so no ball is copied to be tested. ``basis`` reads through the
+public ``ball`` and tests its candidates with the public
+``one_point_deletions`` on bytes, so a traced run sees its ball reads and
+deletion scans at those layer boundaries. ``basis_via_poset_descent`` reads
+from ``models._members`` and deletes with the ``core`` byte tables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -106,6 +105,20 @@ def _member(
     return member
 
 
+def _ends(q: bytes, n: int) -> list[int]:
+    """The last entries v that extend q, of length n - 1 as bytes, to a
+    plus-irreducible permutation. Appending v bumps every entry from v up by
+    one, which breaks q's adjacency (v - 1, v), if any, and no other, and
+    makes one exactly when v = q[-1] + 1. So a q with two or more
+    adjacencies gives no end, one with the single adjacency (a, a + 1) only
+    v = a + 1, one with none every v, and v = q[-1] + 1 is always skipped."""
+    rises = [y for x, y in zip(q, q[1:]) if y == x + 1]
+    if len(rises) > 1:
+        return []
+    skip = q[-1] + 1
+    return [v for v in rises or range(1, n + 1) if v != skip]
+
+
 def basis(
     k: int,
     model: Model | str,
@@ -120,14 +133,8 @@ def basis(
     leaves a ball member of length n - 1, so the candidates are those
     members, as bytes, extended by a new last entry v; each permutation
     arises from exactly one pair (member, v), so none is missed. By the
-    strip lemma of the module docstring only the plus-irreducible extensions
-    are tested. Appending v bumps every entry from v up by one, which breaks
-    the member's adjacency (v - 1, v), if it has one, and no other; and the
-    new entry forms an adjacency exactly when v is one above the member's
-    last entry. So a member with two or more adjacencies gives no
-    candidate, one with the single adjacency (a, a + 1) gives only
-    v = a + 1, one with none gives every v, and v = last + 1 is always
-    skipped. With ``probe_extra`` the scan also covers one length above the
+    strip lemma of the module docstring only the ends ``_ends`` gives are
+    tested. With ``probe_extra`` the scan also covers one length above the
     bound and records the (expected empty) findings. Each step tests its
     candidates through ``_member`` with G_k from ``generating_set_direct``
     (being plus irreducible, they are members at the bound only as
@@ -140,7 +147,7 @@ def basis(
     model = Model.coerce(model)
     bound = element_length(k, model)
     top = bound + 1 if probe_extra else bound
-    core.check_budget(math.factorial(top), max_states)
+    core.check_factorial_budget(top, max_states)
     direct = generating_set_direct(k, model, max_states=max_states)
     generators = frozenset(map(bytes, direct.elements))
     elements: list[Perm] = []
@@ -151,13 +158,7 @@ def basis(
         member = _member(n, k, model, max_states, generators, inside_shorter)
         found: list[Perm] = []
         for b in shorter:
-            # the candidate rule above: a + 1 for each adjacency (a, a + 1)
-            rises = [y for x, y in zip(b, b[1:]) if y == x + 1]
-            if len(rises) > 1:
-                continue
-            for v in rises or range(1, n + 1):
-                if v == b[-1] + 1:
-                    continue
+            for v in _ends(b, n):
                 p = b.translate(core._BUMP[v]) + core._ONE[v]
                 if not member(p) and inside_shorter.issuperset(core.one_point_deletions(p)):
                     found.append(tuple(p))
@@ -175,31 +176,34 @@ def basis_via_poset_descent(
 
     Each length n is scanned as pairs (q, ends): q of length n - 1 and the
     permutations q extended by a new last entry v, for each v in ends, whose
-    last-entry deletion is q. The first frontier is every permutation of the
-    bound length, as every q of one length shorter with every v. A q outside
-    the ball joins the next frontier, once: its extensions are outside too,
-    since the ball is a class, and are not minimal. Otherwise each extension
-    p, streamed and never stored, is a basis element exactly when it lies
-    outside the ball and all its deletions lie inside, a test that stops at
-    the first one outside. Each later frontier is exactly the non-members of
+    last-entry deletion is q. The first frontier is every q one shorter than
+    the bound, with ends None, read as ``_ends(q, bound)`` (see below). A q
+    outside the ball joins the next frontier, once: its extensions are
+    outside too, since the ball is a class, and are not minimal. Otherwise
+    each extension p, streamed and never stored, is a basis element exactly
+    when it lies outside the ball and all its deletions lie inside, a test
+    that stops at the first one outside. Each later frontier is exactly the non-members of
     its length: a non-member q of length n is the last-entry deletion of q
     followed by n + 1, a non-member because the ball is a class. Membership
     is tested through ``_member``, with G_k from
     ``generating_set_constructive``, and length n - 1 is read once, as a
-    set. No candidate is pruned by the strip lemma, so below the bound
-    disagreement with basis() signals a bug in the distance engine, the
-    pattern machinery or that lemma. At the bound ``_member`` answers a
-    plus-reducible p by its adjacency deletion, so the lemma holds there by
-    construction, and disagreement signals a wrong G_k in either route.
+    set. Below the bound no candidate is pruned, so disagreement with
+    basis() there signals a bug in the distance engine, the pattern
+    machinery, the strip lemma or ``_ends``. At the bound only the ends
+    ``_ends`` gives are tested, which is exact: ``_member`` answers a
+    plus-reducible p by looking up its adjacency deletion in length n - 1,
+    and the deletion test looks up the same one, so p is a member or fails
+    the test, whatever the level table or G_k holds. The generators are
+    plus irreducible and still tested, so disagreement at the bound signals
+    a wrong G_k in either route.
     """
     model = Model.coerce(model)
     bound = element_length(k, model)
-    core.check_budget(math.factorial(bound), max_states)
+    core.check_factorial_budget(bound, max_states)
     constructive = generating_set_constructive(k, model, max_states=max_states)
     generators = frozenset(map(bytes, constructive.elements))
-    every_end = range(1, bound + 1)
-    pairs: Iterable[tuple[bytes, Iterable[int]]] = (
-        (q, every_end) for q in map(bytes, core.all_perms(bound - 1))
+    pairs: Iterable[tuple[bytes, tuple[int] | None]] = (
+        (q, None) for q in map(bytes, core.all_perms(bound - 1))
     )
     found: set[bytes] = set()
     for n in range(bound, 1, -1):
@@ -210,7 +214,7 @@ def basis_via_poset_descent(
             if q not in inside_shorter:
                 descend.add(q)
                 continue
-            for v in ends:
+            for v in _ends(q, n) if ends is None else ends:
                 p = q.translate(core._BUMP[v]) + core._ONE[v]
                 if not member(p) and inside_shorter.issuperset(map(
                     p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p)

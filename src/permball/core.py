@@ -45,6 +45,16 @@ def check_budget(size: int, max_states: int | None) -> None:
         raise BudgetError(f"{shown} candidates exceed the state budget {max_states}")
 
 
+def check_factorial_budget(n: int, max_states: int | None) -> None:
+    """``check_budget`` for n!, with its message: the running product stops
+    once past both the budget and 10**18, so a huge n refuses at once."""
+    size = i = 1
+    while max_states is not None and i < n and size <= max(max_states, 10**18):
+        i += 1
+        size *= i
+    check_budget(size, max_states)
+
+
 def check_perm(values: Iterable[int]) -> Perm:
     """Return ``values`` as a tuple, raising ValueError unless it is a
     permutation of 1..n.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass
 from functools import cache, partial
@@ -103,12 +102,19 @@ def _check_golden(section: str, routes: tuple[Callable, Callable], model: Model,
                   golden, max_states):
     """Both routes of one structure at radius ``j``, against each other and
     against ``golden[section][model][j]``: the sorted elements, or only their
-    number where the entry is a count."""
+    number where the entry is a count. A failure detail names its cause."""
     expected = _golden(golden, _structure, section, model.value, str(j))
     first, second = (route(j, model, max_states=max_states).elements for route in routes)
+    if first != second:
+        return False, f"the two routes disagree: {len(first)} and {len(second)} elements"
     count = isinstance(expected, int)
-    ok = first == second and (len(first) if count else first) == expected
-    return ok, f"{expected if count else len(expected)} elements, both methods"
+    if (len(first) if count else first) == expected:
+        return True, f"{expected if count else len(expected)} elements, both methods"
+    if count:
+        return False, f"both routes give {len(first)} elements, the golden count is {expected}"
+    p = min(set(first) ^ set(expected))  # the first element only one side holds
+    verb, golden_verb = ("give", "lacks") if p in first else ("lack", "holds")
+    return False, f"both routes {verb} {core.format_perm(p)}, which the golden list {golden_verb}"
 
 
 def _check_basis_probe(model: Model, j: int, golden, max_states):
@@ -245,7 +251,7 @@ def _check_ptd_parents(top_k: int, golden, max_states):
 
 
 def _check_transposition_inverse(top: int, golden, max_states):
-    core.check_budget(math.factorial(top), max_states)
+    core.check_factorial_budget(top, max_states)
     step = models.apply_transposition
 
     def bad(p: Perm) -> bool:

@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import itertools
+import math
+import time
 
 import pytest
 
@@ -70,8 +72,9 @@ def test_basis_elements_pairwise_incomparable():
 
 
 def test_basis_elements_are_plus_irreducible_with_proper_endpoints():
-    # the descent does not prune by plus-irreducibility, so it is the route
-    # that would expose a wrong strip lemma
+    # the descent prunes by plus-irreducibility only at the bound, where the
+    # pruning is exact, so below it the descent is the route that would
+    # expose a wrong strip lemma
     cases = [(Model.BLOCK, k) for k in (1, 2)] + [(Model.PREFIX, k) for k in (1, 2, 3)]
     for route in (basis, basis_via_poset_descent):
         for model, k in cases:
@@ -107,6 +110,30 @@ def test_extension_tests_only_plus_irreducible_candidates(monkeypatch):
             )
         assert len(tested) == expected, (model, k)
         assert all(core.is_plus_irreducible(p) for p in tested), model
+
+
+def test_ends_are_exactly_the_plus_irreducible_extensions():
+    basis_module = importlib.import_module("permball.basis")
+    for n in range(2, 9):
+        for q in map(bytes, all_perms(n - 1)):
+            expected = [
+                v for v in range(1, n + 1)
+                if core.is_plus_irreducible(q.translate(core._BUMP[v]) + core._ONE[v])
+            ]
+            assert basis_module._ends(q, n) == expected, tuple(q)
+
+
+def test_descent_pruning_at_the_bound_is_exact_for_any_generating_set(monkeypatch):
+    # at the bound a plus-reducible extension is a member or fails the
+    # deletion test through the same adjacency deletion, so testing every
+    # extension there finds the same elements, even with a wrong G_k
+    basis_module = importlib.import_module("permball.basis")
+    _one_generator_short("generating_set_constructive", monkeypatch)
+    for model, k in ((Model.BLOCK, 2), (Model.PREFIX, 2), (Model.PREFIX, 3)):
+        pruned = basis_via_poset_descent(k, model).elements
+        with monkeypatch.context() as every_end:
+            every_end.setattr(basis_module, "_ends", lambda q, n: range(1, n + 1))
+            assert basis_via_poset_descent(k, model).elements == pruned, (model, k)
 
 
 def test_avoidance_characterizes_membership():
@@ -183,6 +210,19 @@ def test_basis_properties_check_catches_a_wrong_constructive_generating_set(monk
     assert check.detail == f"{core.format_perm(dropped)} ends with its maximum", check
 
 
+def test_basis_properties_check_catches_a_wrong_candidate_rule(monkeypatch):
+    # both routes use _ends at the bound, but the descent scans every
+    # extension below it, so a rule that drops v = 1 shows as disagreement
+    basis_module = importlib.import_module("permball.basis")
+    original = basis_module._ends
+    monkeypatch.setattr(basis_module, "_ends", lambda q, n: [v for v in original(q, n) if v != 1])
+    results = verify.run_verification(list(Model), 2, 3, verify.load_golden(), None)
+    for model, k in ((Model.BLOCK, 1), (Model.PREFIX, 2)):
+        (check,) = [r for r in results if r.name == f"basis-properties-{model.value}"]
+        assert check.status == "FAIL", check
+        assert check.detail == f"the two routes disagree at k={k}", check
+
+
 def test_class_closure():
     # deletion closure of B_j and nesting B_j <= B_{j+1}, for every j up to
     # the top radius; j = 0 is the identity ball
@@ -212,6 +252,30 @@ def test_basis_refuses_before_any_scan(monkeypatch):
         basis(3, "td")
     with pytest.raises(BudgetError):
         basis_via_poset_descent(3, "td")
+
+
+def test_huge_radius_refuses_without_the_factorial():
+    # (9 * 10**5 + 1)! has millions of digits; the refusal stops the product
+    # once it passes 10**18 and the budget
+    for route in (basis, basis_via_poset_descent):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="more than 10\\*\\*18 candidates"):
+            route(3 * 10**5, "td")
+        assert time.perf_counter() - start < 2, route
+
+
+def test_factorial_budget_refuses_exactly_as_the_full_product():
+    for n in range(30):
+        for max_states in (None, 0, 1, 6, 7, 3_628_799, 3_628_800, 10**18, 10**19, 10**30):
+            outcomes = []
+            for check in (core.check_factorial_budget,
+                          lambda n, m: core.check_budget(math.factorial(n), m)):
+                try:
+                    check(n, max_states)
+                    outcomes.append(None)
+                except BudgetError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (n, max_states)
 
 
 def test_basis_caps():

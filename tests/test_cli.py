@@ -276,7 +276,10 @@ def test_verify_detects_corrupted_expected_values(tmp_path, capsys):
         capsys, "verify", "--model", "td", "-k", "1", "--max-n", "4", "--golden", str(bad)
     )
     assert code == 1
-    assert "FAIL" in out
+    (failed,) = [line.split(maxsplit=2) for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL", "golden-basis-td-k1", "[both routes give 3142, which the golden list lacks]"
+    ]
 
     # structurally broken file: unusable values must fail, not crash
     bad.write_text("{not json")
