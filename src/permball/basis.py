@@ -10,12 +10,14 @@ computed, not the k and model its caller passed.
 
 Two independent routes compute the basis: ``basis`` extends the ball members
 of each length n - 1 by one point, and ``basis_via_poset_descent`` scans
-every permutation of the bound length and descends through deletions. Both
-refuse up front by the n! size of the longest length they cover, which
-bounds the extension route's candidates from above.
+every permutation one shorter than the bound and descends through
+deletions. Both refuse up front by the n! size of the longest length they
+cover, which bounds the extension route's candidates from above.
 
-Both routes test membership at lengths n >= m without the level table of
-that length, by two facts:
+Both routes test membership by one set lookup in what they already hold.
+Below the bound m that is the ball of the length, read once as a set. At
+n >= m it is the route's generating set, without the level table of that
+length, by two facts:
 
 - Reduction: deleting the upper point p[i+1] of an adjacency
   p[i+1] = p[i] + 1 keeps the strip reduction, which keeps the distance in
@@ -33,18 +35,22 @@ neither grows a longer one.
 
 Every basis element is plus irreducible (the strip lemma): by reduction, a p
 with an adjacency is in the ball or has a deletion outside it. Both routes
-keep only the plus-irreducible extensions, by one rule, ``_ends``: ``basis``
-at every length, the descent only at m, where the pruning is exact whatever
-G_k holds (a plus-reducible p there is a member or fails the deletion test
-through the same adjacency deletion). Below m the descent tests every
-extension, so its agreement with ``basis`` checks the lemma and the rule.
-Block bases end at length 2k+2, below m = 3k+1 for k >= 2.
+extend a member only by the ends that one rule, ``_ends``, gives: those
+that make the extension plus irreducible. ``basis`` does so at every length
+and looks its candidates at m and above up in G_k alone, so it is exact
+there only through that rule. The descent extends only at m, and its
+``_member`` still answers a plus-reducible p by the adjacency deletion,
+which the deletion test looks up too, so p is a member or fails the test:
+the descent is exact whatever ``_ends`` returns or G_k holds. Below m the
+descent extends nothing: its frontier is exactly the non-members of each
+length, and it tests their deletions, so its agreement with ``basis``
+checks the lemma and the rule. Block bases end at length 2k+2, below
+m = 3k+1 for k >= 2.
 
 Both routes hold permutations as bytes, one entry per byte, and build tuples
-only for the elements they find. Each takes one step per scanned length n:
-it tests membership at n through ``_member`` and reads the ball at n - 1 as
-bytes, once, so no ball is copied to be tested. ``basis`` reads through the
-public ``ball`` and tests its candidates with the public
+only for the elements they find. Each reads the ball of every length below
+the bound once, as a set, and no other copy of it. ``basis`` reads through
+the public ``ball`` and tests its candidates with the public
 ``one_point_deletions`` on bytes, so a traced run sees its ball reads and
 deletion scans at those layer boundaries. ``basis_via_poset_descent`` reads
 from ``models._members`` and deletes with the ``core`` byte tables.
@@ -53,12 +59,11 @@ from ``models._members`` and deletes with the ``core`` byte tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from . import core
 from .core import DEFAULT_MAX_STATES, Perm
 from .genset import element_length, generating_set_constructive, generating_set_direct
-from .models import Model, _members, _within, ball
+from .models import Model, _members, ball
 
 
 @dataclass(frozen=True)
@@ -79,30 +84,19 @@ class BasisReport:
     probe: BasisProbe | None = None
 
 
-def _member(
-    n: int, k: int, model: Model, max_states: int | None, generators: frozenset[bytes],
-    shorter: frozenset[bytes],
-) -> Callable[[bytes], bool]:
-    """Membership in B_k of a permutation of length ``n`` given as bytes, by
-    the two facts of the module docstring: below the bound m, the level
-    table's lookup; at n >= m, ``generators`` for a plus-irreducible p, and
-    otherwise its first adjacency deletion in ``shorter``, the members of
-    length n - 1 that the caller holds."""
-    bound = element_length(k, model)
-    if n < bound:
-        return _within(n, k, model, max_states)
-
-    def member(p: bytes) -> bool:
-        # _BUMP[1] adds one to every entry, so a zero byte of the xor marks
-        # an adjacency p[i + 1] = p[i] + 1
-        xor = int.from_bytes(p[1:], "big") ^ int.from_bytes(p[:-1].translate(core._BUMP[1]), "big")
-        i = xor.to_bytes(n - 1, "big").find(0)
-        if i < 0:
-            return n == bound and p in generators
-        v = p[i + 1]
-        return p.translate(core._RESCALE[v], core._ONE[v]) in shorter
-
-    return member
+def _member(p: bytes, generators: frozenset[bytes], shorter: frozenset[bytes]) -> bool:
+    """Membership in B_k of a permutation p of the bound length m, as bytes,
+    by the two facts of the module docstring: ``generators`` for a
+    plus-irreducible p, and otherwise its first adjacency deletion in
+    ``shorter``, the members of length m - 1."""
+    # _BUMP[1] adds one to every entry, so a zero byte of the xor marks
+    # an adjacency p[i + 1] = p[i] + 1
+    xor = int.from_bytes(p[1:], "big") ^ int.from_bytes(p[:-1].translate(core._BUMP[1]), "big")
+    i = xor.to_bytes(len(p) - 1, "big").find(0)
+    if i < 0:
+        return p in generators
+    v = p[i + 1]
+    return p.translate(core._RESCALE[v], core._ONE[v]) in shorter
 
 
 def _ends(q: bytes, n: int) -> list[int]:
@@ -117,6 +111,14 @@ def _ends(q: bytes, n: int) -> list[int]:
         return []
     skip = q[-1] + 1
     return [v for v in rises or range(1, n + 1) if v != skip]
+
+
+def _deleted_inside(p: bytes, shorter: frozenset[bytes]) -> bool:
+    """Whether every one-point deletion of p, as bytes, lies in ``shorter``;
+    stops at the first one outside."""
+    return shorter.issuperset(map(
+        p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p)
+    ))
 
 
 def basis(
@@ -135,11 +137,13 @@ def basis(
     arises from exactly one pair (member, v), so none is missed. By the
     strip lemma of the module docstring only the ends ``_ends`` gives are
     tested. With ``probe_extra`` the scan also covers one length above the
-    bound and records the (expected empty) findings. Each step tests its
-    candidates through ``_member`` with G_k from ``generating_set_direct``
-    (being plus irreducible, they are members at the bound only as
-    generators, and never above it), and reads the members of length n - 1
-    once, through ``ball``.
+    bound and records the (expected empty) findings. A candidate's
+    membership is one set lookup: below the bound m in the ball of its
+    length, read once through ``ball`` and extended at the next step; at m
+    and above in G_k from ``generating_set_direct``, which holds every
+    plus-irreducible member of length m and none longer. So at the bound
+    this route is exact only through ``_ends``: a plus-reducible candidate
+    there would count as a non-member.
     Refuses up front when n! at the longest length exceeds ``max_states``:
     an over-estimate of the candidates, kept so that the budget means the
     same for both routes.
@@ -150,17 +154,22 @@ def basis(
     core.check_factorial_budget(top, max_states)
     direct = generating_set_direct(k, model, max_states=max_states)
     generators = frozenset(map(bytes, direct.elements))
+
+    def read(n: int) -> frozenset[bytes]:
+        # from a list, so that ball's tuples are freed before the set is built
+        return frozenset(list(map(bytes, ball(n, k, model, max_states=max_states))))
+
     elements: list[Perm] = []
     probe = None
+    inside = read(1)
     for n in range(2, top + 1):
-        shorter = list(map(bytes, ball(n - 1, k, model, max_states=max_states)))
-        inside_shorter = frozenset(shorter)
-        member = _member(n, k, model, max_states, generators, inside_shorter)
+        shorter = inside if n <= bound else read(n - 1)
+        inside = read(n) if n < bound else generators
         found: list[Perm] = []
         for b in shorter:
             for v in _ends(b, n):
                 p = b.translate(core._BUMP[v]) + core._ONE[v]
-                if not member(p) and inside_shorter.issuperset(core.one_point_deletions(p)):
+                if p not in inside and shorter.issuperset(core.one_point_deletions(p)):
                     found.append(tuple(p))
         if n <= bound:
             elements.extend(found)
@@ -174,51 +183,50 @@ def basis_via_poset_descent(
 ) -> BasisReport:
     """Compute the same basis by descending the pattern poset from the top.
 
-    Each length n is scanned as pairs (q, ends): q of length n - 1 and the
-    permutations q extended by a new last entry v, for each v in ends, whose
-    last-entry deletion is q. The first frontier is every q one shorter than
-    the bound, with ends None, read as ``_ends(q, bound)`` (see below). A q
-    outside the ball joins the next frontier, once: its extensions are
-    outside too, since the ball is a class, and are not minimal. Otherwise
-    each extension p, streamed and never stored, is a basis element exactly
-    when it lies outside the ball and all its deletions lie inside, a test
-    that stops at the first one outside. Each later frontier is exactly the non-members of
-    its length: a non-member q of length n is the last-entry deletion of q
-    followed by n + 1, a non-member because the ball is a class. Membership
-    is tested through ``_member``, with G_k from
-    ``generating_set_constructive``, and length n - 1 is read once, as a
-    set. Below the bound no candidate is pruned, so disagreement with
+    It scans every q one shorter than the bound m once. A member q is
+    extended by the ends ``_ends(q, m)`` gives, and each extension p,
+    streamed and never stored, is a basis element exactly when all its
+    deletions lie inside the ball, a test that stops at the first one
+    outside, and ``_member`` then finds p outside, with G_k from
+    ``generating_set_constructive``. As the module docstring shows, this is
+    exact whatever ``_ends`` returns or G_k holds; the generators are still
+    tested, so disagreement at the bound signals a wrong G_k in either route.
+
+    The scan also collects the non-members, and below m the descent walks
+    only them, length by length, each length read once as a set. A
+    non-member p whose last-entry deletion falls outside the ball is not
+    minimal, and that deletion is passed down; otherwise p is a basis
+    element exactly when its other deletions lie inside too. So each length
+    walks exactly its non-members: a non-member q of length n is the
+    last-entry deletion of q followed by n + 1, a non-member because the
+    ball is a class. Below m nothing is pruned, so disagreement with
     basis() there signals a bug in the distance engine, the pattern
-    machinery, the strip lemma or ``_ends``. At the bound only the ends
-    ``_ends`` gives are tested, which is exact: ``_member`` answers a
-    plus-reducible p by looking up its adjacency deletion in length n - 1,
-    and the deletion test looks up the same one, so p is a member or fails
-    the test, whatever the level table or G_k holds. The generators are
-    plus irreducible and still tested, so disagreement at the bound signals
-    a wrong G_k in either route.
+    machinery, the strip lemma or ``_ends``.
     """
     model = Model.coerce(model)
     bound = element_length(k, model)
     core.check_factorial_budget(bound, max_states)
     constructive = generating_set_constructive(k, model, max_states=max_states)
     generators = frozenset(map(bytes, constructive.elements))
-    pairs: Iterable[tuple[bytes, tuple[int] | None]] = (
-        (q, None) for q in map(bytes, core.all_perms(bound - 1))
-    )
-    found: set[bytes] = set()
-    for n in range(bound, 1, -1):
-        inside_shorter = frozenset(_members(n - 1, k, model, max_states))
-        member = _member(n, k, model, max_states, generators, inside_shorter)
-        descend: set[bytes] = set()
-        for q, ends in pairs:
-            if q not in inside_shorter:
-                descend.add(q)
-                continue
-            for v in _ends(q, n) if ends is None else ends:
-                p = q.translate(core._BUMP[v]) + core._ONE[v]
-                if not member(p) and inside_shorter.issuperset(map(
-                    p.translate, map(core._RESCALE.__getitem__, p), map(core._ONE.__getitem__, p)
-                )):
-                    found.add(p)
-        pairs = ((p[:-1].translate(core._RESCALE[p[-1]]), (p[-1],)) for p in descend)
+    inside = frozenset(_members(bound - 1, k, model, max_states))
+    found: list[bytes] = []
+    outside: set[bytes] = set()
+    for q in map(bytes, core.all_perms(bound - 1)):
+        if q not in inside:
+            outside.add(q)
+            continue
+        for v in _ends(q, bound):
+            p = q.translate(core._BUMP[v]) + core._ONE[v]
+            if _deleted_inside(p, inside) and not _member(p, generators, inside):
+                found.append(p)
+    for n in range(bound - 1, 1, -1):
+        inside = frozenset(_members(n - 1, k, model, max_states))
+        below: set[bytes] = set()
+        for p in outside:
+            q = p[:-1].translate(core._RESCALE[p[-1]])
+            if q not in inside:
+                below.add(q)
+            elif _deleted_inside(p, inside):
+                found.append(p)
+        outside = below
     return BasisReport(core.perm_set(map(tuple, found)), length_bound_used=bound)

@@ -30,10 +30,7 @@ unsynchronised, so the engine is single-threaded.
 
 ``_grown`` grows a level table to a radius and carries the refusals of
 ``ball``. ``_members`` reads a ball off that table once, as bytes with one
-entry per byte, and ``ball`` builds the tuples. ``_within`` reads nothing
-off it: its predicate looks a bytes permutation up by its packed code, so
-the basis routes test every length below their bound without a copy of its
-ball.
+entry per byte, and ``ball`` builds the tuples.
 """
 
 from __future__ import annotations
@@ -321,15 +318,6 @@ def _members(n: int, k: int, model: Model | str, max_states: int | None) -> list
     level table after growing it to depth k."""
     dist = _grown(n, k, model, max_states)
     return [_unpack_bytes(code, n) for code, d in dist.items() if d <= k] if n else [b""]
-
-
-def _within(n: int, k: int, model: Model | str, max_states: int | None) -> Callable[[bytes], bool]:
-    """Membership in the ball of a permutation of length ``n`` >= 1 given as
-    bytes, by one lookup of its packed code in the level table grown to depth
-    k: the basis routes test every length below their bound so, copying no
-    ball."""
-    get = _grown(n, k, model, max_states).get
-    return lambda p: get(_pack(p), k + 1) <= k
 
 
 def ball(

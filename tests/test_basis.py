@@ -90,14 +90,15 @@ def test_extension_tests_only_plus_irreducible_candidates(monkeypatch):
     # deletion lies in the ball, counted here over all of S_n (538 at td k=2,
     # 56 at ptd k=2)
     basis_module = importlib.import_module("permball.basis")
-    original = basis_module._member
+    original = basis_module._ends
     tested = []
 
-    def recording_member(*args):
-        member = original(*args)
-        return lambda p: tested.append(p) or member(p)
+    def recording_ends(q, n):
+        ends = original(q, n)
+        tested.extend(tuple(q.translate(core._BUMP[v]) + core._ONE[v]) for v in ends)
+        return ends
 
-    monkeypatch.setattr(basis_module, "_member", recording_member)
+    monkeypatch.setattr(basis_module, "_ends", recording_ends)
     for model, k in ((Model.BLOCK, 2), (Model.PREFIX, 2)):
         tested.clear()
         basis(k, model)
@@ -134,6 +135,21 @@ def test_descent_pruning_at_the_bound_is_exact_for_any_generating_set(monkeypatc
         with monkeypatch.context() as every_end:
             every_end.setattr(basis_module, "_ends", lambda q, n: range(1, n + 1))
             assert basis_via_poset_descent(k, model).elements == pruned, (model, k)
+
+
+def test_basis_is_exact_at_the_bound_only_through_the_candidate_rule(monkeypatch):
+    # basis() tests its candidates at the bound against G_k alone, so with
+    # every end a plus-reducible member whose deletions lie inside counts as
+    # an element; the descent's _member answers it by its adjacency deletion
+    # and keeps its elements, so the routes disagree from k=1 on
+    basis_module = importlib.import_module("permball.basis")
+    monkeypatch.setattr(basis_module, "_ends", lambda q, n: range(1, n + 1))
+    assert basis_via_poset_descent(2, "ptd").elements == PTD_K2
+    reported = basis(2, "ptd").elements
+    assert any(len(e) == 5 and not core.is_plus_irreducible(e) for e in reported)
+    results = verify.run_verification([Model.PREFIX], 2, 3, verify.load_golden(), None)
+    (check,) = [r for r in results if r.name == "basis-properties-ptd"]
+    assert check.status == "FAIL" and check.detail == "the two routes disagree at k=1", check
 
 
 def test_avoidance_characterizes_membership():
@@ -211,8 +227,8 @@ def test_basis_properties_check_catches_a_wrong_constructive_generating_set(monk
 
 
 def test_basis_properties_check_catches_a_wrong_candidate_rule(monkeypatch):
-    # both routes use _ends at the bound, but the descent scans every
-    # extension below it, so a rule that drops v = 1 shows as disagreement
+    # both routes use _ends at the bound, but the descent walks every
+    # non-member below it, so a rule that drops v = 1 shows as disagreement
     basis_module = importlib.import_module("permball.basis")
     original = basis_module._ends
     monkeypatch.setattr(basis_module, "_ends", lambda q, n: [v for v in original(q, n) if v != 1])
@@ -302,39 +318,34 @@ def test_basis_extends_shorter_ball_members_without_scanning(monkeypatch):
 
 
 def test_the_longest_scanned_length_is_never_copied(monkeypatch):
-    # each step reads length n - 1 once and tests length n on the level table
-    # below the bound 5; at 5 and above it tests against the route's own
+    # each route reads every length below the bound 5 once and tests that
+    # length against the read; at 5 and above it tests against its own
     # generating set, so no table of the bound is grown but for the probe's
-    # read of the ball of length 5
+    # read of the ball of length 5. Only the descent calls _member, at 5,
+    # between its reads of lengths 4 and 3
     basis_module = importlib.import_module("permball.basis")
     asked = []
-    names = ("ball", "_members", "_within", "generating_set_direct", "generating_set_constructive")
+    names = ("ball", "_members", "_member", "generating_set_direct", "generating_set_constructive")
     for name in names:
-        def record(n, *args, name=name, original=getattr(basis_module, name), **kwargs):
-            asked.append((name, n))
-            return original(n, *args, **kwargs)
+        def record(first, *args, name=name, original=getattr(basis_module, name), **kwargs):
+            asked.append((name, len(first) if name == "_member" else first))
+            return original(first, *args, **kwargs)
 
         monkeypatch.setattr(basis_module, name, record)
 
-    def steps(shorter, n):
-        return [(shorter, n - 1)] + [("_within", n)] * (n < 5)
-
-    def extension(top):
-        return [("generating_set_direct", 2)] + [
-            call for n in range(2, top + 1) for call in steps("ball", n)
-        ]
-
-    descent = [("generating_set_constructive", 2)] + [
-        call for n in range(5, 1, -1) for call in steps("_members", n)
-    ]
-    for route, kwargs, expected in (
-        (basis, {}, extension(5)),
-        (basis, {"probe_extra": True}, extension(6)),
-        (basis_via_poset_descent, {}, descent),
+    extension = [("generating_set_direct", 2)] + [("ball", n) for n in range(1, 5)]
+    descent = [("generating_set_constructive", 2)] + [("_members", n) for n in range(4, 0, -1)]
+    for route, kwargs, expected, at_bound in (
+        (basis, {}, extension, False),
+        (basis, {"probe_extra": True}, extension + [("ball", 5)], False),
+        (basis_via_poset_descent, {}, descent, True),
     ):
         asked.clear()
         route(2, "ptd", **kwargs)
-        assert asked == expected, (route, kwargs)
+        tested = [call for call in asked if call[0] == "_member"]
+        assert [call for call in asked if call[0] != "_member"] == expected, (route, kwargs)
+        assert bool(tested) == at_bound and set(tested) <= {("_member", 5)}, (route, kwargs)
+        assert asked[2 : 2 + len(tested)] == tested, (route, kwargs)
 
 
 def test_no_level_table_at_the_bound_or_above():

@@ -456,31 +456,32 @@ def test_unpack_inverts_pack():
             assert models._unpack_bytes(code, n) == bytes(p)
 
 
-def test_within_is_ball_membership_at_every_radius():
+def test_ball_is_every_member_at_every_radius():
     # the second pass finds every table grown to its full depth, deeper than
-    # the radius asked for, so a predicate must test the depth, not presence
+    # the radius asked for, so a ball must test the depth, not presence
     def check():
         for n in range(1, 8):
             for m in Model:
-                for k in range(max(full_table(n, m).values()) + 1):
-                    inside = models._within(n, k, m, None)
-                    members = frozenset(ball(n, k, m, max_states=None))
-                    for p in all_perms(n):
-                        assert inside(bytes(p)) == (p in members), (n, m, k, p)
+                dist = full_table(n, m)
+                for k in range(max(dist.values()) + 1):
+                    members = {
+                        tuple((code >> 4 * i & 15) + 1 for i in range(n))
+                        for code, d in dist.items() if d <= k
+                    }
+                    assert set(ball(n, k, m, max_states=None)) == members, (n, m, k)
 
     models._reset_caches()
     check()
-    models._reset_caches()
     for n in range(1, 8):
         for m in Model:
             ball(n, max(full_table(n, m).values()), m, max_states=None)
     check()
     with pytest.raises(BudgetError):
-        models._within(17, 1, "td", None)
+        ball(17, 1, "td", max_states=None)
     with pytest.raises(ValueError):
-        models._within(4, -1, "td", None)
+        ball(4, -1, "td", max_states=None)
     with pytest.raises(ValueError):
-        models._within(-1, 1, "td", None)
+        ball(-1, 1, "td", max_states=None)
 
 
 # --- budgets ---------------------------------------------------------------------
