@@ -16,8 +16,8 @@ cover, which bounds the extension route's candidates from above.
 
 Both routes test membership by one set lookup in what they already hold.
 Below the bound m that is the ball of the length, read once as a set. At
-n >= m it is the route's generating set, without the level table of that
-length, by two facts:
+n >= m a plus-irreducible p is looked up in the route's generating set,
+without the level table of that length, by two facts:
 
 - Reduction: deleting the upper point p[i+1] of an adjacency
   p[i+1] = p[i] + 1 keeps the strip reduction, which keeps the distance in
@@ -33,17 +33,17 @@ a wrong G_k in either shows as their disagreement. Neither grows the level
 table of length m, except that the probe reads the ball of length m, and
 neither grows a longer one.
 
-Every basis element is plus irreducible (the strip lemma): by reduction, a p
-with an adjacency is in the ball or has a deletion outside it. Both routes
+Every basis element is plus irreducible (the strip lemma): by reduction, a
+plus-reducible p whose deletions all lie in the ball is in it. Both routes
 extend a member only by the ends that one rule, ``_ends``, gives: those
 that make the extension plus irreducible. ``basis`` does so at every length
 and looks its candidates at m and above up in G_k alone, so it is exact
-there only through that rule. The descent extends only at m, and its
-``_member`` still answers a plus-reducible p by the adjacency deletion,
-which the deletion test looks up too, so p is a member or fails the test:
-the descent is exact whatever ``_ends`` returns or G_k holds. Below m the
-descent extends nothing: its frontier is exactly the non-members of each
-length, and it tests their deletions, so its agreement with ``basis``
+there only through that rule. The descent extends only at m and decides
+there by the lemma itself: an extension whose deletions lie inside is an
+element exactly when it is plus irreducible and not in G_k. So it finds the
+same elements from every end as from the rule's, whatever G_k holds. Below
+m the descent extends nothing: its frontier is exactly the non-members of
+each length, and it tests their deletions, so its agreement with ``basis``
 checks the lemma and the rule. Block bases end at length 2k+2, below
 m = 3k+1 for k >= 2.
 
@@ -82,21 +82,6 @@ class BasisReport:
     elements: tuple[Perm, ...]
     length_bound_used: int
     probe: BasisProbe | None = None
-
-
-def _member(p: bytes, generators: frozenset[bytes], shorter: frozenset[bytes]) -> bool:
-    """Membership in B_k of a permutation p of the bound length m, as bytes,
-    by the two facts of the module docstring: ``generators`` for a
-    plus-irreducible p, and otherwise its first adjacency deletion in
-    ``shorter``, the members of length m - 1."""
-    # _BUMP[1] adds one to every entry, so a zero byte of the xor marks
-    # an adjacency p[i + 1] = p[i] + 1
-    xor = int.from_bytes(p[1:], "big") ^ int.from_bytes(p[:-1].translate(core._BUMP[1]), "big")
-    i = xor.to_bytes(len(p) - 1, "big").find(0)
-    if i < 0:
-        return p in generators
-    v = p[i + 1]
-    return p.translate(core._RESCALE[v], core._ONE[v]) in shorter
 
 
 def _ends(q: bytes, n: int) -> list[int]:
@@ -187,10 +172,11 @@ def basis_via_poset_descent(
     extended by the ends ``_ends(q, m)`` gives, and each extension p,
     streamed and never stored, is a basis element exactly when all its
     deletions lie inside the ball, a test that stops at the first one
-    outside, and ``_member`` then finds p outside, with G_k from
-    ``generating_set_constructive``. As the module docstring shows, this is
-    exact whatever ``_ends`` returns or G_k holds; the generators are still
-    tested, so disagreement at the bound signals a wrong G_k in either route.
+    outside, and it is plus irreducible and not in G_k from
+    ``generating_set_constructive``. By the strip lemma this is exact for
+    any ``_ends`` that gives every plus-irreducible end; the generators are
+    still tested, so disagreement at the bound signals a wrong G_k in
+    either route.
 
     The scan also collects the non-members, and below m the descent walks
     only them, length by length, each length read once as a set. A
@@ -217,7 +203,7 @@ def basis_via_poset_descent(
             continue
         for v in _ends(q, bound):
             p = q.translate(core._BUMP[v]) + core._ONE[v]
-            if _deleted_inside(p, inside) and not _member(p, generators, inside):
+            if _deleted_inside(p, inside) and core.is_plus_irreducible(p) and p not in generators:
                 found.append(p)
     for n in range(bound - 1, 1, -1):
         inside = frozenset(_members(n - 1, k, model, max_states))

@@ -49,6 +49,10 @@ def _strip_break(p: Perm, indices: tuple[int, ...], model: Model) -> Perm:
     cut (``Model.shape``). An entry x moves up by the number of chosen
     values below it.
     """
+    # inflated here rather than through core.monotone_inflate, which
+    # validates p and sorts every position: that route took the constructive
+    # sets about twice as long (ptd k=5 0.8 -> 1.4-2.4 s, td k=4 0.85 ->
+    # 1.2-1.7 s on 2 vCPUs, Python 3.11.7)
     chosen = sorted(p[t - 1] for t in indices)
     shifted = [x + bisect.bisect_left(chosen, x) for x in p]
     inflated: list[int] = []

@@ -28,9 +28,9 @@ never leaves a partial BFS level or a memo entry behind, while whole levels
 finished before it stay cached. The tables and the memo are process-wide and
 unsynchronised, so the engine is single-threaded.
 
-``_grown`` grows a level table to a radius and carries the refusals of
-``ball``. ``_members`` reads a ball off that table once, as bytes with one
-entry per byte, and ``ball`` builds the tuples.
+``_members`` grows a level table to a radius, carries the refusals of
+``ball`` and reads the ball off that table once, as bytes with one entry
+per byte; ``ball`` builds the tuples.
 """
 
 from __future__ import annotations
@@ -294,10 +294,11 @@ def pairwise_distance(
     return distance(relabeled, model, max_states=max_states)
 
 
-def _grown(n: int, k: int, model: Model | str, max_states: int | None) -> dict[int, int]:
-    """The ``dist`` of the level table of length ``n``, grown to depth k or
-    to exhaustion; it may hold deeper levels that earlier calls grew. The
-    empty permutation has no table: its code is 0, at distance 0."""
+def _members(n: int, k: int, model: Model | str, max_states: int | None) -> list[bytes]:
+    """The distinct members of the ball, unordered and as bytes, read off the
+    level table of length ``n`` after growing it to depth k or to
+    exhaustion; the table may hold deeper levels that earlier calls grew.
+    The empty permutation has no table."""
     model = Model.coerce(model)
     if n < 0:
         raise ValueError("negative length")
@@ -306,18 +307,11 @@ def _grown(n: int, k: int, model: Model | str, max_states: int | None) -> dict[i
     if n > _PACK_MAX:
         raise BudgetError(f"ball construction supports length <= {_PACK_MAX}")
     if n == 0:
-        return {0: 0}
+        return [b""]
     table = _table(n, model)
     while table.depth < k and table.grow(max_states):
         pass
-    return table.dist
-
-
-def _members(n: int, k: int, model: Model | str, max_states: int | None) -> list[bytes]:
-    """The distinct members of the ball, unordered and as bytes, read off the
-    level table after growing it to depth k."""
-    dist = _grown(n, k, model, max_states)
-    return [_unpack_bytes(code, n) for code, d in dist.items() if d <= k] if n else [b""]
+    return [_unpack_bytes(code, n) for code, d in table.dist.items() if d <= k]
 
 
 def ball(

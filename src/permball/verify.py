@@ -118,10 +118,13 @@ def _check_golden(section: str, routes: tuple[Callable, Callable], model: Model,
 
 
 def _check_basis_probe(model: Model, j: int, golden, max_states):
-    report = compute_basis(j, model, probe_extra=True, max_states=max_states)
-    assert report.probe is not None
-    ok = report.probe.elements == ()
-    return ok, f"nothing at length {report.probe.length}"
+    probe = compute_basis(j, model, probe_extra=True, max_states=max_states).probe
+    if probe is None:
+        return False, "no probe was made"
+    if probe.elements:
+        first = core.format_perm(probe.elements[0])
+        return False, f"{len(probe.elements)} elements at length {probe.length}, first {first}"
+    return True, f"nothing at length {probe.length}"
 
 
 def _check_counts(enum_top: int, golden, max_states):
@@ -266,8 +269,9 @@ def _check_basis_properties(model: Model, top_k: int, golden, max_states):
     # never appears in a block-model basis element; under the prefix model a
     # leading 1 is not free (132 is a basis element) and only the trailing
     # maximum is excluded. The elements come from the poset descent, which
-    # does not prune by plus-irreducibility as ``basis`` does, so the first
-    # test can fail below the bound length; ``basis`` must then give the
+    # prunes by plus-irreducibility only at the bound length, where the
+    # strip lemma makes that exact, and not below it as ``basis`` does, so
+    # the first test can fail below the bound; ``basis`` must then give the
     # same elements, which also catches a wrong generating set in ``basis``.
     for j in range(1, top_k + 1):
         descent = basis_via_poset_descent(j, model, max_states=max_states).elements

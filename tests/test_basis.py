@@ -140,16 +140,39 @@ def test_descent_pruning_at_the_bound_is_exact_for_any_generating_set(monkeypatc
 def test_basis_is_exact_at_the_bound_only_through_the_candidate_rule(monkeypatch):
     # basis() tests its candidates at the bound against G_k alone, so with
     # every end a plus-reducible member whose deletions lie inside counts as
-    # an element; the descent's _member answers it by its adjacency deletion
-    # and keeps its elements, so the routes disagree from k=1 on
+    # an element; the descent reports only plus-irreducible extensions, which
+    # by the strip lemma loses none, and keeps its elements, so the routes
+    # disagree from k=1 on
     basis_module = importlib.import_module("permball.basis")
+    td_k2 = basis_via_poset_descent(2, "td").elements
+    assert len(td_k2) == 37
     monkeypatch.setattr(basis_module, "_ends", lambda q, n: range(1, n + 1))
     assert basis_via_poset_descent(2, "ptd").elements == PTD_K2
+    assert basis_via_poset_descent(2, "td").elements == td_k2
     reported = basis(2, "ptd").elements
     assert any(len(e) == 5 and not core.is_plus_irreducible(e) for e in reported)
     results = verify.run_verification([Model.PREFIX], 2, 3, verify.load_golden(), None)
     (check,) = [r for r in results if r.name == "basis-properties-ptd"]
     assert check.status == "FAIL" and check.detail == "the two routes disagree at k=1", check
+
+
+def test_basis_probe_check_names_what_the_probe_found(monkeypatch):
+    # with every end, basis() finds plus-reducible members past the bound,
+    # and the failing probe check names how many and the first of them
+    basis_module = importlib.import_module("permball.basis")
+    with monkeypatch.context() as every_end:
+        every_end.setattr(basis_module, "_ends", lambda q, n: range(1, n + 1))
+        results = verify.run_verification([Model.PREFIX], 1, 3, verify.load_golden(), None)
+    (check,) = [r for r in results if r.name == "basis-probe-ptd-k1"]
+    assert check.status == "FAIL" and check.detail == "7 elements at length 4, first 1234", check
+
+    def no_probe(j, model, **kwargs):
+        return BasisReport((), length_bound_used=element_length(j, model))
+
+    monkeypatch.setattr(verify, "compute_basis", no_probe)
+    results = verify.run_verification([Model.PREFIX], 1, 3, verify.load_golden(), None)
+    (check,) = [r for r in results if r.name == "basis-probe-ptd-k1"]
+    assert check.status == "FAIL" and check.detail == "no probe was made", check
 
 
 def test_avoidance_characterizes_membership():
@@ -321,31 +344,27 @@ def test_the_longest_scanned_length_is_never_copied(monkeypatch):
     # each route reads every length below the bound 5 once and tests that
     # length against the read; at 5 and above it tests against its own
     # generating set, so no table of the bound is grown but for the probe's
-    # read of the ball of length 5. Only the descent calls _member, at 5,
-    # between its reads of lengths 4 and 3
+    # read of the ball of length 5
     basis_module = importlib.import_module("permball.basis")
     asked = []
-    names = ("ball", "_members", "_member", "generating_set_direct", "generating_set_constructive")
+    names = ("ball", "_members", "generating_set_direct", "generating_set_constructive")
     for name in names:
         def record(first, *args, name=name, original=getattr(basis_module, name), **kwargs):
-            asked.append((name, len(first) if name == "_member" else first))
+            asked.append((name, first))
             return original(first, *args, **kwargs)
 
         monkeypatch.setattr(basis_module, name, record)
 
     extension = [("generating_set_direct", 2)] + [("ball", n) for n in range(1, 5)]
     descent = [("generating_set_constructive", 2)] + [("_members", n) for n in range(4, 0, -1)]
-    for route, kwargs, expected, at_bound in (
-        (basis, {}, extension, False),
-        (basis, {"probe_extra": True}, extension + [("ball", 5)], False),
-        (basis_via_poset_descent, {}, descent, True),
+    for route, kwargs, expected in (
+        (basis, {}, extension),
+        (basis, {"probe_extra": True}, extension + [("ball", 5)]),
+        (basis_via_poset_descent, {}, descent),
     ):
         asked.clear()
         route(2, "ptd", **kwargs)
-        tested = [call for call in asked if call[0] == "_member"]
-        assert [call for call in asked if call[0] != "_member"] == expected, (route, kwargs)
-        assert bool(tested) == at_bound and set(tested) <= {("_member", 5)}, (route, kwargs)
-        assert asked[2 : 2 + len(tested)] == tested, (route, kwargs)
+        assert asked == expected, (route, kwargs)
 
 
 def test_no_level_table_at_the_bound_or_above():
